@@ -36,7 +36,6 @@ from .rank import (
     exact_rank,
     generic_rank,
     modular_rank,
-    oracle_rank_minors,
     parse_policy,
     rank_dispatch,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "matrix_from_dense",
     "modular_rank",
     "multirank_profile",
-    "oracle_rank_minors",
     "parse_coefficient",
     "parse_policy",
     "parse_state",

@@ -2,18 +2,17 @@
 
 Three routes, one contract:
 
-* :func:`exact_rank` works over the Gaussian rationals.  Each row is
-  scaled by the lcm of its denominators (rank-invariant), then
-  fraction-free Bareiss elimination runs over the Gaussian integers:
-  every 2x2 cross-multiplication is exactly divisible by the previous
-  pivot, which keeps entry growth polynomial instead of exponential.
-  Pivots are the first nonzero in column order; no magnitude pivoting is
-  needed in exact arithmetic.
-
 * :func:`modular_rank` eliminates over GF(p)[i] with p an odd prime
   congruent to 3 mod 4, so i*i + 1 is irreducible and the quotient is
   the field GF(p^2).  The result never exceeds the exact rank; it can
   undershoot when p divides a pivot minor.
+
+* :func:`exact_rank` works over the Gaussian rationals by modular passes
+  alone.  The largest modular rank seen is the lower bound; the upper
+  bound is either min(nonzero rows, nonzero cols) or a multi-prime
+  Hadamard certificate: once the product of the primes used exceeds the
+  Hadamard bound on the next-larger minors of the row-cleared
+  Gaussian-integer matrix, those minors are all zero.
 
 * :func:`generic_rank` substitutes uniform random field elements for
   each named parameter, takes the modular rank, and maximizes over
@@ -24,9 +23,7 @@ Three routes, one contract:
 Every route first discards all-zero rows and columns, so the working
 matrix is never larger than the number of nonzero entries on a side.
 :func:`rank_dispatch` glues the routes together under a policy; the
-default fast-then-verify policy certifies a modular result as exact
-whenever it meets the upper bound min(nonzero rows, nonzero cols) and
-falls back to the exact route otherwise.
+exact and fast policies are two names for :func:`exact_rank`.
 """
 
 from __future__ import annotations
@@ -34,15 +31,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from itertools import chain
+from math import lcm, prod
 from typing import Optional
 
 import numpy as np
 
 from .errors import PolicyMismatchError, PrimeClashError
 from .flatten import FlattenedMatrix
-from .gaussian import GaussianRational, Parameter
+from .gaussian import Parameter
 from .kernels import rank_mod_gaussian
 
 # Twenty primes == 3 (mod 4) just below 2**31: large enough that random
@@ -139,8 +136,6 @@ def parse_policy(text: str) -> RankPolicy:
 # ---------------------------------------------------------------------------
 # Shared plumbing
 
-GaussInt = tuple[int, int]
-
 
 def _compress(matrix: FlattenedMatrix):
     """Relabel to the nonzero rows/cols only; rank is unaffected."""
@@ -156,94 +151,6 @@ def _compress(matrix: FlattenedMatrix):
 
 def _has_parameters(matrix: FlattenedMatrix) -> bool:
     return any(isinstance(a, Parameter) for a in matrix.entries.values())
-
-
-def _cleared_integer_rows(rows: int, cols: int, entries) -> list[list[GaussInt]]:
-    """Dense Gaussian-integer rows after per-row denominator clearing."""
-    grid: list[list[GaussianRational]] = [
-        [None] * cols for _ in range(rows)  # type: ignore[list-item]
-    ]
-    for (r, c), amp in entries.items():
-        grid[r][c] = amp
-    out = []
-    for row in grid:
-        scale = 1
-        for amp in row:
-            if amp is not None:
-                scale = lcm(scale, amp.re.denominator, amp.im.denominator)
-        out.append(
-            [
-                (0, 0)
-                if amp is None
-                else (int(amp.re * scale), int(amp.im * scale))
-                for amp in row
-            ]
-        )
-    return out
-
-
-def _gdiv_exact(a: GaussInt, b: GaussInt) -> GaussInt:
-    # a / b in Z[i]; Bareiss guarantees divisibility, assert it anyway.
-    norm = b[0] * b[0] + b[1] * b[1]
-    xr = a[0] * b[0] + a[1] * b[1]
-    xi = a[1] * b[0] - a[0] * b[1]
-    qr, rr = divmod(xr, norm)
-    qi, ri = divmod(xi, norm)
-    if rr or ri:
-        raise ArithmeticError("inexact Gaussian-integer division in Bareiss step")
-    return (qr, qi)
-
-
-def _bareiss_rank(mat: list[list[GaussInt]]) -> int:
-    """Fraction-free elimination over Z[i]; mutates and returns the rank."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    rank = 0
-    prev: GaussInt = (1, 0)
-    for col in range(cols):
-        if rank == rows:
-            break
-        piv = next((i for i in range(rank, rows) if mat[i][col] != (0, 0)), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            mat[rank], mat[piv] = mat[piv], mat[rank]
-        pivot = mat[rank][col]
-        for i in range(rank + 1, rows):
-            # the pivot rescale applies even when factor is zero, or the
-            # exact-division invariant breaks at later steps
-            factor = mat[i][col]
-            row_i = mat[i]
-            row_p = mat[rank]
-            for j in range(col + 1, cols):
-                num = (
-                    pivot[0] * row_i[j][0] - pivot[1] * row_i[j][1]
-                    - factor[0] * row_p[j][0] + factor[1] * row_p[j][1],
-                    pivot[0] * row_i[j][1] + pivot[1] * row_i[j][0]
-                    - factor[0] * row_p[j][1] - factor[1] * row_p[j][0],
-                )
-                row_i[j] = _gdiv_exact(num, prev) if prev != (1, 0) else num
-            row_i[col] = (0, 0)
-        prev = pivot
-        rank += 1
-    return rank
-
-
-# ---------------------------------------------------------------------------
-# Exact route
-
-
-def exact_rank(matrix: FlattenedMatrix) -> RankResult:
-    """Rank over the Gaussian rationals; requires non-parametric entries."""
-    if _has_parameters(matrix):
-        raise PolicyMismatchError(
-            "matrix has parametric entries; use the generic policy"
-        )
-    rows, cols, entries = _compress(matrix)
-    if rows == 0:
-        return RankResult(0, mode="exact", certainty="exact")
-    value = _bareiss_rank(_cleared_integer_rows(rows, cols, entries))
-    return RankResult(value, mode="exact", certainty="exact")
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +192,27 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _admissible_primes(matrix: FlattenedMatrix, rng: random.Random):
+    """Primes p == 3 (mod 4) below 2**31 that divide no denominator.
+
+    First the table in an order shuffled by ``rng``, then the primes
+    below the table in descending order.
+    """
+    denominators = {
+        d
+        for a in matrix.entries.values()
+        if not isinstance(a, Parameter)
+        for d in (a.re.denominator, a.im.denominator)
+        if d > 1
+    }
+    table = list(PRIMES_3_MOD_4)
+    rng.shuffle(table)
+    below = (p for p in range(PRIMES_3_MOD_4[-1] - 4, 2, -4) if _is_prime(p))
+    for p in chain(table, below):
+        if all(d % p for d in denominators):
+            yield p
+
+
 def _residue(x: Fraction, p: int) -> int:
     if x.denominator % p == 0:
         raise PrimeClashError(f"prime {p} divides a denominator")
@@ -319,6 +247,64 @@ def modular_rank(matrix: FlattenedMatrix, p: int) -> RankResult:
 
 
 # ---------------------------------------------------------------------------
+# Exact route
+
+
+def exact_rank(matrix: FlattenedMatrix, seed: object = 0) -> RankResult:
+    """Rank over the Gaussian rationals, certified by modular passes alone.
+
+    Each admissible prime p (see :func:`_admissible_primes`) gives a
+    modular rank, and the largest seen so far, r, is a lower bound on the
+    exact rank.  The loop stops when r meets min(nonzero rows, nonzero
+    cols), or when the product P of the primes used satisfies P**2 > H,
+    with H the product of the r + 1 largest squared row norms of the
+    row-cleared Gaussian-integer matrix.
+
+    Proof of the upper bound in the second case.  Clearing a row's
+    denominators scales it by an integer that p does not divide, so the
+    cleared matrix has the same rank mod p, at most r.  Every (r+1)-minor
+    of it is therefore a Gaussian integer divisible by p: a prime
+    p == 3 (mod 4) stays prime in Z[i], so Z[i]/(p) is the field
+    GF(p)[i].  Distinct rational primes are coprime in Z[i], so P divides
+    every (r+1)-minor, and a nonzero one has modulus at least P.  By
+    Hadamard's inequality its squared modulus is at most H < P**2, so
+    every (r+1)-minor is zero and the rank is r.  When a prime raises r,
+    the earlier primes still gave ranks <= r, so P keeps them.
+    """
+    if _has_parameters(matrix):
+        raise PolicyMismatchError(
+            "matrix has parametric entries; use the generic policy"
+        )
+    rows, cols, entries = _compress(matrix)
+    if rows == 0:
+        return RankResult(0, mode="exact", certainty="exact")
+    value, product, norms = 0, 1, None
+    for p in _admissible_primes(matrix, random.Random(f"fast:{seed}")):
+        re, im = _modular_arrays(rows, cols, entries, p)
+        value = max(value, int(rank_mod_gaussian(re, im, p)))
+        if value == min(rows, cols):
+            break
+        if norms is None:
+            norms = _cleared_row_norms(rows, entries)
+        product *= p
+        if product * product > prod(norms[: value + 1]):
+            break
+    return RankResult(value, mode="exact", certainty="exact")
+
+
+def _cleared_row_norms(rows: int, entries) -> list[int]:
+    """Squared row norms after per-row denominator clearing, largest first."""
+    amps = [[] for _ in range(rows)]
+    for (r, _), amp in entries.items():
+        amps[r].append(amp)
+    norms = []
+    for row in amps:
+        scale = lcm(*(d for a in row for d in (a.re.denominator, a.im.denominator)))
+        norms.append(int(scale * scale * sum(a.re * a.re + a.im * a.im for a in row)))
+    return sorted(norms, reverse=True)
+
+
+# ---------------------------------------------------------------------------
 # Generic route
 
 
@@ -338,7 +324,7 @@ def generic_rank(
         raise ValueError("trials must be >= 1")
     rng = random.Random(f"generic:{seed}")
     if p is None:
-        p = _pick_prime(matrix, rng)
+        p = next(_admissible_primes(matrix, rng))
     _check_prime(p)
     rows, cols, entries = _compress(matrix)
     if rows == 0:
@@ -369,21 +355,6 @@ def generic_rank(
     )
 
 
-def _pick_prime(matrix: FlattenedMatrix, rng: random.Random) -> int:
-    """A table prime dividing no denominator; the table is large enough
-    that failure means the matrix was engineered against it."""
-    candidates = list(PRIMES_3_MOD_4)
-    rng.shuffle(candidates)
-    for p in candidates:
-        if all(
-            isinstance(a, Parameter)
-            or (a.re.denominator % p and a.im.denominator % p)
-            for a in matrix.entries.values()
-        ):
-            return p
-    raise PrimeClashError("every table prime divides some denominator")
-
-
 # ---------------------------------------------------------------------------
 # Dispatch
 
@@ -391,14 +362,10 @@ def _pick_prime(matrix: FlattenedMatrix, rng: random.Random) -> int:
 def rank_dispatch(
     matrix: FlattenedMatrix, policy: RankPolicy, seed: object = 0
 ) -> RankResult:
-    """Run one matrix through the policy.
-
-    fast: one modular pass at a random admissible prime; the value is
-    certified exact when it meets the upper bound min(nonzero rows,
-    nonzero cols), otherwise the exact route decides.
-    """
-    if policy.kind == "exact":
-        return exact_rank(matrix)
+    """Run one matrix through the policy; exact and fast both run
+    :func:`exact_rank`."""
+    if policy.kind in ("exact", "fast"):
+        return exact_rank(matrix, seed=seed)
     if policy.kind == "generic":
         trials = policy.trials or DEFAULT_GENERIC_TRIALS
         return generic_rank(matrix, trials=trials, p=policy.prime, seed=seed)
@@ -406,61 +373,4 @@ def rank_dispatch(
         if policy.prime is None:
             raise ValueError("modular policy needs an explicit prime")
         return modular_rank(matrix, policy.prime)
-    if policy.kind == "fast":
-        if _has_parameters(matrix):
-            raise PolicyMismatchError(
-                "matrix has parametric entries; use the generic policy"
-            )
-        rows, cols, _ = _compress(matrix)
-        if rows == 0:
-            return RankResult(0, mode="exact", certainty="exact")
-        rng = random.Random(f"fast:{seed}")
-        p = _pick_prime(matrix, rng)
-        probe = modular_rank(matrix, p)
-        if probe.value == min(rows, cols):
-            return RankResult(
-                probe.value, mode="modular", certainty="exact", prime=p
-            )
-        return exact_rank(matrix)
     raise ValueError(f"unknown rank policy kind {policy.kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Independent oracle
-
-
-def oracle_rank_minors(matrix: FlattenedMatrix) -> int:
-    """Largest k with a nonzero k x k minor, by exhaustive expansion.
-
-    Test oracle, deliberately independent of the elimination routes;
-    restricted to matrices no larger than 6 on either side.
-    """
-    if matrix.rows > 6 or matrix.cols > 6:
-        raise ValueError("minor oracle is restricted to dimensions <= 6")
-    if _has_parameters(matrix):
-        raise PolicyMismatchError("minor oracle needs non-parametric entries")
-    zero = GaussianRational.of(0)
-    dense = [[zero] * matrix.cols for _ in range(matrix.rows)]
-    for (r, c), amp in matrix.entries.items():
-        dense[r][c] = amp
-    for k in range(min(matrix.rows, matrix.cols), 0, -1):
-        for row_ids in combinations(range(matrix.rows), k):
-            for col_ids in combinations(range(matrix.cols), k):
-                sub = [[dense[r][c] for c in col_ids] for r in row_ids]
-                if not _determinant(sub).is_zero:
-                    return k
-    return 0
-
-
-def _determinant(sub: list[list[GaussianRational]]) -> GaussianRational:
-    n = len(sub)
-    if n == 1:
-        return sub[0][0]
-    total = GaussianRational.of(0)
-    for j, top in enumerate(sub[0]):
-        if top.is_zero:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in sub[1:]]
-        term = top * _determinant(minor)
-        total = total - term if j % 2 else total + term
-    return total

@@ -1,22 +1,30 @@
 """Shared constructions for the test suite.
 
-Random states, random invertible local matrices, and the four reference
-states exercised throughout.  Every generator takes an explicit
-``random.Random`` so tests stay reproducible.
+Random states, random invertible local matrices, the four reference
+states exercised throughout, and two reference ranks that share no code
+with the library's modular routes: fraction-free Bareiss elimination and
+exhaustive minors.  Every generator takes an explicit ``random.Random``
+so tests stay reproducible.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 from multirank import (
     FlattenedMatrix,
     GaussianRational,
+    PolicyMismatchError,
     QuditDims,
     StateTensor,
     build_state,
 )
+from multirank.rank import _has_parameters
+
+GaussInt = tuple[int, int]
 
 
 def w3() -> StateTensor:
@@ -73,6 +81,17 @@ def rand_gauss_int(rng: random.Random, lo: int = -3, hi: int = 3) -> GaussianRat
             return g
 
 
+def rand_gauss_fraction(rng: random.Random, lo: int = -3, hi: int = 3) -> GaussianRational:
+    """Nonzero Gaussian rational; each part has denominator in [1, 6]."""
+    while True:
+        g = gauss(
+            Fraction(rng.randint(lo, hi), rng.randint(1, 6)),
+            Fraction(rng.randint(lo, hi), rng.randint(1, 6)),
+        )
+        if not g.is_zero:
+            return g
+
+
 def rand_dims(rng: random.Random, max_n: int = 6, max_d: int = 3) -> tuple[int, ...]:
     n = rng.randint(2, max_n)
     return tuple(rng.randint(2, max_d) for _ in range(n))
@@ -112,11 +131,14 @@ def rand_product_state(rng: random.Random, max_n: int = 6, max_d: int = 3) -> St
     return build_state(dims, terms)
 
 
-def rand_cut_product_state(rng: random.Random, max_n: int = 6, max_d: int = 3):
+def rand_cut_product_state(
+    rng: random.Random, max_n: int = 6, max_d: int = 3, coeff=rand_gauss_int
+):
     """A state that is a product across one chosen cut.
 
     Returns (state, cut) with ``cut`` the sorted tuple of 1-based party
-    labels on one side.  Either side may be internally entangled.
+    labels on one side.  Either side may be internally entangled.  Each
+    side's coefficients are drawn by ``coeff(rng)``.
     """
     n = rng.randint(3, max_n)
     dims = tuple(rng.randint(2, max_d) for _ in range(n))
@@ -133,7 +155,7 @@ def rand_cut_product_state(rng: random.Random, max_n: int = 6, max_d: int = 3):
         chosen: set[tuple[int, ...]] = set()
         while len(chosen) < count:
             chosen.add(tuple(rng.randrange(d) for d in side_dims))
-        return {idx: rand_gauss_int(rng) for idx in chosen}
+        return {idx: coeff(rng) for idx in chosen}
 
     left, right = side_terms(cut), side_terms(rest)
     terms = []
@@ -188,3 +210,128 @@ def compressed_dense(matrix: FlattenedMatrix):
 
 def dims_of(state: StateTensor) -> QuditDims:
     return state.dims
+
+
+# ---------------------------------------------------------------------------
+# Reference ranks
+
+
+def bareiss_rank(matrix: FlattenedMatrix) -> int:
+    """Rank over the Gaussian rationals by fraction-free elimination.
+
+    Each row is scaled by the lcm of its denominators (rank-invariant),
+    then Bareiss elimination runs over the Gaussian integers: every 2x2
+    cross-multiplication is exactly divisible by the previous pivot,
+    which keeps entry growth polynomial instead of exponential.
+    """
+    if _has_parameters(matrix):
+        raise PolicyMismatchError("Bareiss reference needs non-parametric entries")
+    return _bareiss_rank(_cleared_integer_rows(matrix.rows, matrix.cols, matrix.entries))
+
+
+def _cleared_integer_rows(rows: int, cols: int, entries) -> list[list[GaussInt]]:
+    """Dense Gaussian-integer rows after per-row denominator clearing."""
+    grid: list[list[GaussianRational]] = [
+        [None] * cols for _ in range(rows)  # type: ignore[list-item]
+    ]
+    for (r, c), amp in entries.items():
+        grid[r][c] = amp
+    out = []
+    for row in grid:
+        scale = 1
+        for amp in row:
+            if amp is not None:
+                scale = lcm(scale, amp.re.denominator, amp.im.denominator)
+        out.append(
+            [
+                (0, 0)
+                if amp is None
+                else (int(amp.re * scale), int(amp.im * scale))
+                for amp in row
+            ]
+        )
+    return out
+
+
+def _gdiv_exact(a: GaussInt, b: GaussInt) -> GaussInt:
+    # a / b in Z[i]; Bareiss guarantees divisibility, assert it anyway.
+    norm = b[0] * b[0] + b[1] * b[1]
+    xr = a[0] * b[0] + a[1] * b[1]
+    xi = a[1] * b[0] - a[0] * b[1]
+    qr, rr = divmod(xr, norm)
+    qi, ri = divmod(xi, norm)
+    if rr or ri:
+        raise ArithmeticError("inexact Gaussian-integer division in Bareiss step")
+    return (qr, qi)
+
+
+def _bareiss_rank(mat: list[list[GaussInt]]) -> int:
+    """Fraction-free elimination over Z[i]; mutates and returns the rank."""
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    rank = 0
+    prev: GaussInt = (1, 0)
+    for col in range(cols):
+        if rank == rows:
+            break
+        piv = next((i for i in range(rank, rows) if mat[i][col] != (0, 0)), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            mat[rank], mat[piv] = mat[piv], mat[rank]
+        pivot = mat[rank][col]
+        for i in range(rank + 1, rows):
+            # the pivot rescale applies even when factor is zero, or the
+            # exact-division invariant breaks at later steps
+            factor = mat[i][col]
+            row_i = mat[i]
+            row_p = mat[rank]
+            for j in range(col + 1, cols):
+                num = (
+                    pivot[0] * row_i[j][0] - pivot[1] * row_i[j][1]
+                    - factor[0] * row_p[j][0] + factor[1] * row_p[j][1],
+                    pivot[0] * row_i[j][1] + pivot[1] * row_i[j][0]
+                    - factor[0] * row_p[j][1] - factor[1] * row_p[j][0],
+                )
+                row_i[j] = _gdiv_exact(num, prev) if prev != (1, 0) else num
+            row_i[col] = (0, 0)
+        prev = pivot
+        rank += 1
+    return rank
+
+
+def oracle_rank_minors(matrix: FlattenedMatrix) -> int:
+    """Largest k with a nonzero k x k minor, by exhaustive expansion.
+
+    Test oracle, deliberately independent of the elimination routes;
+    restricted to matrices no larger than 6 on either side.
+    """
+    if matrix.rows > 6 or matrix.cols > 6:
+        raise ValueError("minor oracle is restricted to dimensions <= 6")
+    if _has_parameters(matrix):
+        raise PolicyMismatchError("minor oracle needs non-parametric entries")
+    zero = GaussianRational.of(0)
+    dense = [[zero] * matrix.cols for _ in range(matrix.rows)]
+    for (r, c), amp in matrix.entries.items():
+        dense[r][c] = amp
+    for k in range(min(matrix.rows, matrix.cols), 0, -1):
+        for row_ids in combinations(range(matrix.rows), k):
+            for col_ids in combinations(range(matrix.cols), k):
+                sub = [[dense[r][c] for c in col_ids] for r in row_ids]
+                if not _determinant(sub).is_zero:
+                    return k
+    return 0
+
+
+def _determinant(sub: list[list[GaussianRational]]) -> GaussianRational:
+    n = len(sub)
+    if n == 1:
+        return sub[0][0]
+    total = GaussianRational.of(0)
+    for j, top in enumerate(sub[0]):
+        if top.is_zero:
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in sub[1:]]
+        term = top * _determinant(minor)
+        total = total - term if j % 2 else total + term
+    return total

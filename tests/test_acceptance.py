@@ -20,15 +20,16 @@ from multirank import (
     is_fully_product,
     is_gme,
     multirank_profile,
-    oracle_rank_minors,
     parse_state,
     transposed,
     verdict,
 )
 from multirank.cli import format_rank_lists
 from helpers import (
+    bareiss_rank,
     cluster4,
     ghz6_qutrit_plus,
+    oracle_rank_minors,
     qutrit3,
     rand_cut_product_state,
     rand_invertible_matrix,
@@ -148,7 +149,10 @@ def test_criterion_09_policy_agreement(symmetry_suite):
         fast = multirank_profile(state, RankPolicy.fast())
         exact = multirank_profile(state, RankPolicy.exact())
         assert fast.rank_lists() == exact.rank_lists()
-    report(9, f"fast == exact profiles on {len(states)} states (criteria 1-4 and 6)")
+        for level in exact.levels:
+            for bp, result in level:
+                assert result.value == bareiss_rank(flatten(state, bp))
+    report(9, f"fast == exact == Bareiss profiles on {len(states)} states (criteria 1-4 and 6)")
 
 
 def test_criterion_10_generic_rank_sanity():

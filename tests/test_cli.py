@@ -3,7 +3,12 @@
 import json
 import subprocess
 import sys
+from math import prod
 from pathlib import Path
+
+import pytest
+
+from multirank import PRIMES_3_MOD_4
 
 REPO = Path(__file__).resolve().parent.parent
 STATES = REPO / "states"
@@ -140,6 +145,19 @@ def test_zero_state_is_exit_3(tmp_path):
     doc.write_text("dims 2 2\n+1 |00>\n-1 |00>\n")
     result = run_cli(str(doc))
     assert result.returncode == 3
+
+
+@pytest.mark.parametrize(
+    "policy,second",
+    [("fast", "+1"), ("exact", "+1"), ("generic", "+1"), ("generic", "a")],
+)
+def test_denominator_divisible_by_every_table_prime(tmp_path, policy, second):
+    # the prime search continues below the table instead of giving up
+    doc = tmp_path / "clash.state"
+    doc.write_text(f"dims 2 2\n1/{prod(PRIMES_3_MOD_4)} |00>\n{second} |11>\n")
+    result = run_cli(str(doc), "--rank", policy)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == "{{2, 2}}"
 
 
 def test_parametric_under_exact_is_exit_4():

@@ -11,11 +11,10 @@ from multirank import (
     exact_rank,
     flatten,
     multirank_profile,
-    oracle_rank_minors,
     profile_level,
     transposed,
 )
-from helpers import REFERENCE_PROFILES, compressed_dense, rand_state
+from helpers import REFERENCE_PROFILES, compressed_dense, oracle_rank_minors, rand_state
 from multirank import matrix_from_dense
 
 

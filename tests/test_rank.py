@@ -1,11 +1,13 @@
-"""Rank routes: exact Bareiss, modular GF(p)[i], generic, and dispatch.
+"""Rank routes: exact (certified modular), modular GF(p)[i], generic, and dispatch.
 
-The minors oracle is the independent reference: it never touches the
-elimination code paths it is used to check.
+The minors oracle and Bareiss elimination in ``helpers`` are the
+independent references: they never touch the modular code paths they
+are used to check.
 """
 
 import random
 from fractions import Fraction
+from math import isqrt, prod
 
 import pytest
 
@@ -21,13 +23,21 @@ from multirank import (
     generic_rank,
     matrix_from_dense,
     modular_rank,
-    oracle_rank_minors,
     parse_policy,
     parse_state,
     rank_dispatch,
     transposed,
 )
-from helpers import rand_gauss_int, rand_state, w3
+from helpers import (
+    bareiss_rank,
+    gauss,
+    oracle_rank_minors,
+    rand_cut_product_state,
+    rand_gauss_fraction,
+    rand_gauss_int,
+    rand_state,
+    w3,
+)
 
 
 def rand_matrix(rng, max_dim=6, lo=-3, hi=3, density=0.7):
@@ -133,6 +143,62 @@ class TestExactRank:
             assert exact_rank(matrix_from_dense(rows)).value == base
 
 
+class TestCertificate:
+    """exact_rank on matrices that its first modular pass does not settle."""
+
+    @pytest.mark.parametrize(
+        "dense",
+        [
+            lambda P: [[P, 0], [0, 1]],
+            # rank 2 of 3: the 21st prime raises r to 2 and certifies it
+            # only because the table primes stay in the product
+            lambda P: [[P, 0, 0], [0, 1, 1], [0, 1, 1]],
+            # det = P with both squared row norms near P: a bound over r
+            # rows instead of r + 1 would stop at rank 1 after 11 primes
+            lambda P: [[isqrt(P) + 1, (isqrt(P) + 1) ** 2 - P], [1, isqrt(P) + 1]],
+        ],
+        ids=["diagonal", "raised-rank", "balanced-rows"],
+    )
+    def test_every_table_prime_undershoots(self, monkeypatch, dense):
+        import multirank.rank as rank_module
+
+        primes = []
+        kernel = rank_module.rank_mod_gaussian
+
+        def spy(re, im, p):
+            primes.append(p)
+            return kernel(re, im, p)
+
+        monkeypatch.setattr(rank_module, "rank_mod_gaussian", spy)
+        result = exact_rank(matrix_from_dense(dense(prod(PRIMES_3_MOD_4))))
+        assert (result.value, result.certainty) == (2, "exact")
+        assert sorted(primes[:20]) == sorted(PRIMES_3_MOD_4)
+        assert len(primes) == 21 and primes[-1] < min(PRIMES_3_MOD_4)
+
+    def test_rational_cancellation_deficit(self):
+        row = [gauss(Fraction(1, 2)), gauss(Fraction(1, 3), 1), gauss(0, Fraction(-5, 7))]
+        scale = gauss(Fraction(3, 2), Fraction(-1, 4))
+        matrix = matrix_from_dense([row, [scale * x for x in row]])
+        assert bareiss_rank(matrix) == 1
+        for seed in range(5):
+            assert exact_rank(matrix, seed=seed).value == 1
+
+    def test_agrees_with_bareiss_on_fractional_cut_products(self):
+        rng = random.Random(4242)
+        deficits = 0
+        for k in range(40):
+            state, _ = rand_cut_product_state(rng, max_n=5, coeff=rand_gauss_fraction)
+            for level in range(1, state.dims.n // 2 + 1):
+                for bp in enumerate_bipartitions(state.dims, level):
+                    matrix = flatten(state, bp)
+                    value = exact_rank(matrix, seed=k).value
+                    assert value == bareiss_rank(matrix)
+                    rows = len({r for r, _ in matrix.entries})
+                    cols = len({c for _, c in matrix.entries})
+                    deficits += value < min(rows, cols)
+        assert deficits >= 50
+
+
 class TestModularRank:
     def test_invertible_mod_three(self):
         assert modular_rank(matrix_from_dense([[2, 0], [0, 2]]), 3).value == 2
@@ -214,7 +280,7 @@ class TestGenericRank:
 class TestDispatch:
     def test_fast_certifies_full_rank(self):
         result = rank_dispatch(matrix_from_dense([[1, 0], [0, 1]]), RankPolicy.fast())
-        assert (result.value, result.mode, result.certainty) == (2, "modular", "exact")
+        assert (result.value, result.mode, result.certainty) == (2, "exact", "exact")
 
     def test_fast_falls_back_on_deficient(self):
         result = rank_dispatch(matrix_from_dense([[1, 2], [2, 4]]), RankPolicy.fast())
@@ -244,7 +310,7 @@ class TestDispatch:
         for k in range(100):
             matrix = rand_matrix(rng, max_dim=5)
             fast = rank_dispatch(matrix, RankPolicy.fast(), seed=k)
-            assert fast.value == exact_rank(matrix).value
+            assert fast.value == bareiss_rank(matrix)
             assert fast.certainty == "exact"
 
 
