@@ -266,6 +266,9 @@ def _entry_doc(bp: Bipartition, result: RankResult) -> dict:
         doc["trials"] = result.trials
     if result.failure_bound is not None:
         doc["failure_bound"] = result.failure_bound
+    if result.certificate is not None:
+        doc["certificate"] = result.certificate
+        doc["primes"] = result.primes
     return doc
 
 

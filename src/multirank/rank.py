@@ -62,7 +62,10 @@ class RankResult:
     over the Gaussian rationals, "probabilistic" otherwise.  A modular
     value is always a lower bound on the exact rank.  ``failure_bound``
     is the Schwartz-Zippel bound on the probability that a generic
-    result understates the generic rank.
+    result understates the generic rank.  An exact value records which
+    upper bound closed it in ``certificate`` ("structural" when it met
+    min(nonzero rows, nonzero cols), "hadamard" otherwise) and the
+    number of modular passes it took in ``primes``.
     """
 
     value: int
@@ -71,6 +74,8 @@ class RankResult:
     prime: Optional[int] = None
     trials: Optional[int] = None
     failure_bound: Optional[float] = None
+    certificate: Optional[str] = None  # "structural" | "hadamard"
+    primes: Optional[int] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,7 +112,20 @@ class RankPolicy:
 
 
 def parse_policy(text: str) -> RankPolicy:
-    """Parse the CLI policy syntax: exact | fast | mod:<p> | generic:<trials>,<p>."""
+    """Parse the CLI policy syntax: exact | fast | mod:<p> | generic:<trials>,<p>.
+
+    The prime and the trial count are validated here, so that a bad
+    policy is rejected before any state is read.
+    """
+    policy = _policy_from_text(text)
+    if policy.prime is not None:
+        _check_prime(policy.prime)
+    if policy.trials is not None and policy.trials < 1:
+        raise ValueError(f"trials must be >= 1, got {policy.trials}")
+    return policy
+
+
+def _policy_from_text(text: str) -> RankPolicy:
     if text == "exact":
         return RankPolicy.exact()
     if text == "fast":
@@ -277,9 +295,12 @@ def exact_rank(matrix: FlattenedMatrix, seed: object = 0) -> RankResult:
         )
     rows, cols, entries = _compress(matrix)
     if rows == 0:
-        return RankResult(0, mode="exact", certainty="exact")
+        return RankResult(
+            0, mode="exact", certainty="exact", certificate="structural", primes=0
+        )
     value, product, norms = 0, 1, None
-    for p in _admissible_primes(matrix, random.Random(f"fast:{seed}")):
+    primes = _admissible_primes(matrix, random.Random(f"fast:{seed}"))
+    for passes, p in enumerate(primes, start=1):
         re, im = _modular_arrays(rows, cols, entries, p)
         value = max(value, int(rank_mod_gaussian(re, im, p)))
         if value == min(rows, cols):
@@ -289,7 +310,10 @@ def exact_rank(matrix: FlattenedMatrix, seed: object = 0) -> RankResult:
         product *= p
         if product * product > prod(norms[: value + 1]):
             break
-    return RankResult(value, mode="exact", certainty="exact")
+    certificate = "structural" if value == min(rows, cols) else "hadamard"
+    return RankResult(
+        value, mode="exact", certainty="exact", certificate=certificate, primes=passes
+    )
 
 
 def _cleared_row_norms(rows: int, entries) -> list[int]:
@@ -367,7 +391,7 @@ def rank_dispatch(
     if policy.kind in ("exact", "fast"):
         return exact_rank(matrix, seed=seed)
     if policy.kind == "generic":
-        trials = policy.trials or DEFAULT_GENERIC_TRIALS
+        trials = DEFAULT_GENERIC_TRIALS if policy.trials is None else policy.trials
         return generic_rank(matrix, trials=trials, p=policy.prime, seed=seed)
     if policy.kind == "modular":
         if policy.prime is None:

@@ -226,12 +226,16 @@ def _parse_json(text: str) -> StateTensor:
         raise StateSyntaxError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
     if not isinstance(doc, dict) or "dims" not in doc or "terms" not in doc:
         raise StateSyntaxError("JSON state needs 'dims' and 'terms' keys")
-    dims = QuditDims(tuple(int(d) for d in doc["dims"]))
+    dims = QuditDims(_json_ints(doc["dims"], "'dims'"))
+    if not isinstance(doc["terms"], list):
+        raise StateSyntaxError("'terms' must be a list")
     terms = []
     for k, entry in enumerate(doc["terms"]):
         if not isinstance(entry, dict) or "coeff" not in entry or "ket" not in entry:
             raise StateSyntaxError(f"term {k} needs 'coeff' and 'ket' keys")
         coeff = entry["coeff"]
+        if isinstance(coeff, bool):
+            raise StateSyntaxError(f"term {k}: coefficient must not be a boolean")
         try:
             amp = (
                 parse_coefficient(coeff)
@@ -240,8 +244,17 @@ def _parse_json(text: str) -> StateTensor:
             )
         except (ValueError, TypeError) as exc:
             raise StateSyntaxError(f"term {k}: {exc}") from None
-        terms.append((tuple(int(i) for i in entry["ket"]), amp))
+        terms.append((_json_ints(entry["ket"], f"term {k}: 'ket'"), amp))
     return build_state(dims, terms)
+
+
+def _json_ints(value: object, what: str) -> tuple[int, ...]:
+    """A JSON list of integers as a tuple; floats, bools and strings are refused."""
+    if not isinstance(value, list) or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in value
+    ):
+        raise StateSyntaxError(f"{what} must be a list of integers")
+    return tuple(value)
 
 
 def serialize_state(state: StateTensor) -> str:

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: outputs, formats, flags, and exit codes."""
 
 import json
+import random
 import subprocess
 import sys
 from math import prod
@@ -181,6 +182,28 @@ def test_bad_policy_is_exit_2():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "policy,message",
+    [
+        ("mod:5", "3 mod 4"),
+        ("mod:15", "not prime"),
+        ("mod:2147483659", "below 2**31"),
+        ("generic:-1", "trials must be >= 1"),
+        ("generic:0", "trials must be >= 1"),
+        ("generic:2,5", "3 mod 4"),
+        ("generic:2,2147483659", "below 2**31"),
+    ],
+)
+def test_bad_policy_value_is_exit_2_before_reading(tmp_path, capsys, policy, message):
+    from multirank.cli import main
+
+    # the input does not exist: the policy must be rejected first
+    code = main([str(tmp_path / "missing.state"), "--rank", policy])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "cannot read input" not in err
+
+
 def test_json_input_document(tmp_path):
     doc = tmp_path / "w3.json"
     doc.write_text(
@@ -191,6 +214,111 @@ def test_json_input_document(tmp_path):
     )
     result = run_cli(str(doc))
     assert result.stdout == "{{2, 2, 2}}\nverdict: GME\n"
+
+
+@pytest.mark.parametrize(
+    "dims,ket,coeff",
+    [
+        ("[2.9, 2]", "[0, 0]", '"1"'),
+        ('"22"', "[0, 0]", '"1"'),
+        ("[2, null]", "[0, 0]", '"1"'),
+        ("[1e400, 2]", "[0, 0]", '"1"'),
+        ("[true, 2]", "[0, 0]", '"1"'),
+        ("[2, 2]", "[0.7, 1]", '"1"'),
+        ("[2, 2]", "[true, 0]", '"1"'),
+        ("[2, 2]", '["x", 0]', '"1"'),
+        ("[2, 2]", '"00"', '"1"'),
+        ("[2, 2]", "5", '"1"'),
+        ("[2, 2]", "[0, 0]", "true"),
+        ("[2, 2]", "[0, 0]", "0.5"),
+        ("[2, 2]", "[0, 0]", "null"),
+    ],
+)
+def test_malformed_json_document_is_exit_2(tmp_path, capsys, dims, ket, coeff):
+    from multirank.cli import main
+
+    doc = tmp_path / "bad.json"
+    doc.write_text(f'{{"dims": {dims}, "terms": [{{"coeff": {coeff}, "ket": {ket}}}]}}')
+    code = main([str(doc)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err.startswith("multirank: ")
+
+
+@pytest.mark.parametrize("terms", ["5", '"ab"', '{"coeff": "1", "ket": [0, 0]}'])
+def test_json_terms_must_be_a_list(tmp_path, capsys, terms):
+    from multirank.cli import main
+
+    doc = tmp_path / "bad.json"
+    doc.write_text(f'{{"dims": [2, 2], "terms": {terms}}}')
+    assert main([str(doc)]) == 2
+    assert capsys.readouterr().err.startswith("multirank: ")
+
+
+def _mutate_json(doc, rng):
+    """Replace, delete or append one value somewhere inside ``doc``."""
+    slots = []
+
+    def walk(node):
+        keys = node if isinstance(node, dict) else range(len(node))
+        for key in list(keys):
+            slots.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                walk(node[key])
+
+    walk(doc)
+    node, key = rng.choice(slots)
+    values = [None, True, 0, -1, 2, 10**30, 2.5, 1e308, "x", "1/0", "a", [], {}, [2, 2]]
+    if rng.random() < 0.7:
+        node[key] = rng.choice(values)
+    elif isinstance(node, dict):
+        del node[key]
+    else:
+        node.append(rng.choice(values))
+
+
+def test_mutated_documents_never_escape_the_exit_codes(tmp_path):
+    from multirank.cli import main
+
+    rng = random.Random(5)
+    line_docs = [p.read_text() for p in sorted(STATES.glob("*.state"))]
+    alphabet = "0123456789|>; #,/-+ia\n"
+    path = tmp_path / "mutated"
+    for _ in range(150):
+        doc = {
+            "dims": [2, 3, 2],
+            "terms": [
+                {"coeff": "1", "ket": [0, 0, 1]},
+                {"coeff": 1, "ket": [0, 2, 0]},
+                {"coeff": "1/2+i", "ket": [1, 0, 0]},
+            ],
+        }
+        for _ in range(rng.randint(1, 3)):
+            _mutate_json(doc, rng)
+        text = list(rng.choice(line_docs))
+        for _ in range(rng.randint(1, 3)):
+            # delete, insert or replace one character
+            at = rng.randrange(len(text))
+            text[at : at + rng.randint(0, 1)] = rng.choice(["", rng.choice(alphabet)])
+        for body in (json.dumps(doc), "".join(text)):
+            path.write_text(body)
+            for policy in ("fast", "generic"):
+                assert main([str(path), "--rank", policy]) in (0, 2, 3, 4), body
+
+
+def test_exact_json_entries_carry_a_certificate():
+    seen = 0
+    for path in sorted(STATES.glob("*.state")):
+        policy = "generic" if path.name.startswith("param") else "fast"
+        result = run_cli(str(path), "--format", "json", "--rank", policy)
+        assert result.returncode == 0, result.stderr
+        for level in json.loads(result.stdout)["levels"]:
+            for entry in level["ranks"]:
+                if entry["certainty"] == "exact":
+                    seen += 1
+                    assert entry["certificate"] in ("structural", "hadamard")
+                    assert entry["primes"] >= 1
+    assert seen > 0
 
 
 def test_in_process_main_matches_subprocess(capsys):

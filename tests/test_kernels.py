@@ -1,18 +1,11 @@
-"""Agreement between the compiled and pure elimination kernels."""
+"""The GF(p)[i] elimination kernel."""
 
 import random
 
 import numpy as np
-import pytest
 
 from multirank import PRIMES_3_MOD_4
 from multirank import kernels
-
-
-needs_compiled = pytest.mark.skipif(
-    kernels.compiled_rank_mod_gaussian is None,
-    reason="compiled kernel not built",
-)
 
 
 def rand_arrays(rng, rows, cols, p, density=0.8):
@@ -45,30 +38,26 @@ def low_rank_arrays(rng, rows, cols, inner, p):
     return re, im
 
 
-@needs_compiled
-def test_backends_agree_on_random_matrices():
+def test_random_matrices_rank_in_range_and_transpose_invariant():
     rng = random.Random(2024)
     for _ in range(60):
         p = rng.choice(PRIMES_3_MOD_4)
         rows, cols = rng.randint(1, 12), rng.randint(1, 12)
         re, im = rand_arrays(rng, rows, cols, p)
-        pure = kernels.pure_rank_mod_gaussian(re.copy(), im.copy(), p)
-        fast = kernels.compiled_rank_mod_gaussian(re.copy(), im.copy(), p)
-        assert pure == fast
-        assert 0 <= pure <= min(rows, cols)
+        rank = kernels.rank_mod_gaussian(re.copy(), im.copy(), p)
+        assert 0 <= rank <= min(rows, cols)
+        assert kernels.rank_mod_gaussian(re.T.copy(), im.T.copy(), p) == rank
 
 
-@needs_compiled
-def test_backends_agree_on_rank_deficient_matrices():
+def test_low_rank_products_have_inner_rank():
     rng = random.Random(99)
     for _ in range(25):
         p = rng.choice(PRIMES_3_MOD_4)
         rows, cols = rng.randint(3, 9), rng.randint(3, 9)
         inner = rng.randint(1, min(rows, cols) - 1)
         re, im = low_rank_arrays(rng, rows, cols, inner, p)
-        pure = kernels.pure_rank_mod_gaussian(re.copy(), im.copy(), p)
-        fast = kernels.compiled_rank_mod_gaussian(re.copy(), im.copy(), p)
-        assert pure == fast == inner  # random full-rank factors, w.h.p.
+        # random full-rank factors, w.h.p.
+        assert kernels.rank_mod_gaussian(re, im, p) == inner
 
 
 def test_pure_kernel_handles_worst_case_values():
@@ -76,18 +65,8 @@ def test_pure_kernel_handles_worst_case_values():
     p = PRIMES_3_MOD_4[0]
     re = np.full((8, 8), p - 1, dtype=np.int64)
     im = np.full((8, 8), p - 1, dtype=np.int64)
-    assert kernels.pure_rank_mod_gaussian(re, im, p) == 1
-
-
-@needs_compiled
-def test_compiled_kernel_handles_worst_case_values():
-    p = PRIMES_3_MOD_4[0]
-    re = np.full((8, 8), p - 1, dtype=np.int64)
-    im = np.full((8, 8), p - 1, dtype=np.int64)
-    assert kernels.compiled_rank_mod_gaussian(re, im, p) == 1
+    assert kernels.rank_mod_gaussian(re, im, p) == 1
 
 
 def test_selected_backend_reported():
-    assert kernels.BACKEND in ("compiled", "python")
-    if kernels.compiled_rank_mod_gaussian is not None:
-        assert kernels.BACKEND == "compiled"
+    assert kernels.BACKEND == "python"

@@ -147,19 +147,22 @@ class TestCertificate:
     """exact_rank on matrices that its first modular pass does not settle."""
 
     @pytest.mark.parametrize(
-        "dense",
+        "dense,certificate",
         [
-            lambda P: [[P, 0], [0, 1]],
+            (lambda P: [[P, 0], [0, 1]], "structural"),
             # rank 2 of 3: the 21st prime raises r to 2 and certifies it
             # only because the table primes stay in the product
-            lambda P: [[P, 0, 0], [0, 1, 1], [0, 1, 1]],
+            (lambda P: [[P, 0, 0], [0, 1, 1], [0, 1, 1]], "hadamard"),
             # det = P with both squared row norms near P: a bound over r
             # rows instead of r + 1 would stop at rank 1 after 11 primes
-            lambda P: [[isqrt(P) + 1, (isqrt(P) + 1) ** 2 - P], [1, isqrt(P) + 1]],
+            (
+                lambda P: [[isqrt(P) + 1, (isqrt(P) + 1) ** 2 - P], [1, isqrt(P) + 1]],
+                "structural",
+            ),
         ],
         ids=["diagonal", "raised-rank", "balanced-rows"],
     )
-    def test_every_table_prime_undershoots(self, monkeypatch, dense):
+    def test_every_table_prime_undershoots(self, monkeypatch, dense, certificate):
         import multirank.rank as rank_module
 
         primes = []
@@ -174,6 +177,7 @@ class TestCertificate:
         assert (result.value, result.certainty) == (2, "exact")
         assert sorted(primes[:20]) == sorted(PRIMES_3_MOD_4)
         assert len(primes) == 21 and primes[-1] < min(PRIMES_3_MOD_4)
+        assert (result.certificate, result.primes) == (certificate, 21)
 
     def test_rational_cancellation_deficit(self):
         row = [gauss(Fraction(1, 2)), gauss(Fraction(1, 3), 1), gauss(0, Fraction(-5, 7))]
@@ -191,11 +195,16 @@ class TestCertificate:
             for level in range(1, state.dims.n // 2 + 1):
                 for bp in enumerate_bipartitions(state.dims, level):
                     matrix = flatten(state, bp)
-                    value = exact_rank(matrix, seed=k).value
+                    result = exact_rank(matrix, seed=k)
+                    value = result.value
                     assert value == bareiss_rank(matrix)
                     rows = len({r for r, _ in matrix.entries})
                     cols = len({c for _, c in matrix.entries})
                     deficits += value < min(rows, cols)
+                    assert result.certificate == (
+                        "hadamard" if value < min(rows, cols) else "structural"
+                    )
+                    assert result.primes >= 1
         assert deficits >= 50
 
 
