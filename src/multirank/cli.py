@@ -141,6 +141,13 @@ def run(config: RunConfig) -> int:
             file=sys.stderr,
         )
 
+    if config.levels is not None and not 1 <= config.levels <= state.dims.n // 2:
+        print(
+            f"multirank: level must be between 1 and {state.dims.n // 2}",
+            file=sys.stderr,
+        )
+        return 2
+
     if config.dump_matrices:
         _dump_matrices(state, config.levels, file=sys.stderr)
 
@@ -149,12 +156,6 @@ def run(config: RunConfig) -> int:
             profile = multirank_profile(state, config.policy, config.seed)
             report = _full_report(profile, config)
         else:
-            if not 1 <= config.levels <= state.dims.n // 2:
-                print(
-                    f"multirank: level must be between 1 and {state.dims.n // 2}",
-                    file=sys.stderr,
-                )
-                return 2
             entries = profile_level(state, config.levels, config.policy, config.seed)
             report = _level_report(state, entries, config)
     except PolicyMismatchError as exc:
@@ -278,8 +279,6 @@ def _dump_matrices(state: StateTensor, single_level: Optional[int], file) -> Non
     if single_level is None:
         groups = all_levels(state.dims)
     else:
-        if not 1 <= single_level <= state.dims.n // 2:
-            return
         groups = [enumerate_bipartitions(state.dims, single_level)]
     for group in groups:
         for bp in group:

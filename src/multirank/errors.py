@@ -14,11 +14,14 @@ class StateSyntaxError(MultirankError):
     """A state document violates the input grammar.
 
     Carries the 1-based ``line`` and ``column`` of the offending
-    statement so the CLI can point at it.
+    statement so the CLI can point at it.  Both are None for a fault
+    that has no position in the text, such as a missing JSON key.
     """
 
-    def __init__(self, message: str, line: int = 1, column: int = 1):
-        super().__init__(f"line {line}, column {column}: {message}")
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        if line is not None:
+            message = f"line {line}, column {column}: {message}"
+        super().__init__(message)
         self.line = line
         self.column = column
 

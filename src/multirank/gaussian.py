@@ -72,9 +72,6 @@ class Parameter:
 
 Amplitude = Union[GaussianRational, Parameter]
 
-ZERO = GaussianRational.of(0)
-ONE = GaussianRational.of(1)
-
 
 def _format_rational(x: Fraction) -> str:
     if x.denominator == 1:

@@ -1,9 +1,10 @@
 """Elimination kernel over GF(p)[i], vectorized with numpy.
 
 Entries are int64 pairs (re, im) already reduced to [0, p).  With
-p < 2**31 every intermediate product stays below 2**62 and every
-two-product sum below 2**63, so int64 never overflows; each product is
-reduced mod p before combining to keep that bound.
+p < 2**31 a product of two residues is below 2**62, so a residue plus
+or minus at most two residue products is below 2**63 in absolute value
+and int64 never overflows.  Each update is therefore reduced mod p once,
+after combining.
 
 The kernel mutates its arguments; callers pass owned copies.
 """
@@ -22,7 +23,7 @@ def rank_mod_gaussian(re: np.ndarray, im: np.ndarray, p: int) -> int:
     for col in range(cols):
         if rank == rows:
             break
-        nz = np.flatnonzero((re[rank:, col] != 0) | (im[rank:, col] != 0))
+        nz = np.flatnonzero(re[rank:, col] | im[rank:, col])
         if nz.size == 0:
             continue
         piv = rank + int(nz[0])
@@ -31,20 +32,18 @@ def rank_mod_gaussian(re: np.ndarray, im: np.ndarray, p: int) -> int:
             im[[rank, piv]] = im[[piv, rank]]
         a = int(re[rank, col])
         b = int(im[rank, col])
-        ninv = pow((a * a + b * b) % p, p - 2, p)
+        ninv = pow(a * a + b * b, -1, p)
         inv_r = a * ninv % p
         inv_i = (p - b) * ninv % p
-        # factors f = M[i, col] / pivot for every row below
+        # factors g = M[i, col] / pivot for every row below
         fr = re[rank + 1 :, col]
         fi = im[rank + 1 :, col]
-        gr = (fr * inv_r - fi * inv_i) % p
-        gi = (fr * inv_i + fi * inv_r) % p
+        gr = ((fr * inv_r - fi * inv_i) % p)[:, None]
+        gi = ((fr * inv_i + fi * inv_r) % p)[:, None]
         pr = re[rank, col:]
         pi = im[rank, col:]
-        tr = ((gr[:, None] * pr) % p - (gi[:, None] * pi) % p) % p
-        ti = ((gr[:, None] * pi) % p + (gi[:, None] * pr) % p) % p
-        re[rank + 1 :, col:] = (re[rank + 1 :, col:] - tr) % p
-        im[rank + 1 :, col:] = (im[rank + 1 :, col:] - ti) % p
+        re[rank + 1 :, col:] = (re[rank + 1 :, col:] - gr * pr + gi * pi) % p
+        im[rank + 1 :, col:] = (im[rank + 1 :, col:] - gr * pi - gi * pr) % p
         rank += 1
     return rank
 

@@ -5,7 +5,10 @@ Three routes, one contract:
 * :func:`modular_rank` eliminates over GF(p)[i] with p an odd prime
   congruent to 3 mod 4, so i*i + 1 is irreducible and the quotient is
   the field GF(p^2).  The result never exceeds the exact rank; it can
-  undershoot when p divides a pivot minor.
+  undershoot when p divides a pivot minor.  A rational amplitude becomes
+  a residue through one inverse of its denominator, ``pow(d, -1, p)``;
+  p < 2**31 lets the kernel reduce each update once (see
+  :mod:`multirank.kernels`).
 
 * :func:`exact_rank` works over the Gaussian rationals by modular passes
   alone.  The largest modular rank seen is the lower bound; the upper
@@ -167,10 +170,6 @@ def _compress(matrix: FlattenedMatrix):
     return len(row_ids), len(col_ids), entries
 
 
-def _has_parameters(matrix: FlattenedMatrix) -> bool:
-    return any(isinstance(a, Parameter) for a in matrix.entries.values())
-
-
 # ---------------------------------------------------------------------------
 # Modular route
 
@@ -181,7 +180,8 @@ def _check_prime(p: int) -> None:
             f"prime must be congruent to 3 mod 4 so that GF(p)[i] is a field, got {p}"
         )
     if p >= 2**31:
-        # the elimination kernels rely on products of residues fitting int64
+        # the kernel reduces once per update: a residue plus two residue
+        # products must fit int64
         raise ValueError(f"prime must be below 2**31, got {p}")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -232,9 +232,10 @@ def _admissible_primes(matrix: FlattenedMatrix, rng: random.Random):
 
 
 def _residue(x: Fraction, p: int) -> int:
+    # checked first: pow(d, -1, p) would raise a bare ValueError instead
     if x.denominator % p == 0:
         raise PrimeClashError(f"prime {p} divides a denominator")
-    return x.numerator * pow(x.denominator, p - 2, p) % p
+    return x.numerator * pow(x.denominator, -1, p) % p
 
 
 def _modular_arrays(rows, cols, entries, p, assignment=None):
@@ -257,8 +258,6 @@ def modular_rank(matrix: FlattenedMatrix, p: int) -> RankResult:
     """Rank over GF(p)[i]; a guaranteed lower bound for the exact rank."""
     _check_prime(p)
     rows, cols, entries = _compress(matrix)
-    if rows == 0:
-        return RankResult(0, mode="modular", certainty="probabilistic", prime=p)
     re, im = _modular_arrays(rows, cols, entries, p)
     value = int(rank_mod_gaussian(re, im, p))
     return RankResult(value, mode="modular", certainty="probabilistic", prime=p)
@@ -276,7 +275,8 @@ def exact_rank(matrix: FlattenedMatrix, seed: object = 0) -> RankResult:
     exact rank.  The loop stops when r meets min(nonzero rows, nonzero
     cols), or when the product P of the primes used satisfies P**2 > H,
     with H the product of the r + 1 largest squared row norms of the
-    row-cleared Gaussian-integer matrix.
+    row-cleared Gaussian-integer matrix.  A parametric entry raises
+    :class:`PolicyMismatchError` in the first pass.
 
     Proof of the upper bound in the second case.  Clearing a row's
     denominators scales it by an integer that p does not divide, so the
@@ -289,10 +289,6 @@ def exact_rank(matrix: FlattenedMatrix, seed: object = 0) -> RankResult:
     every (r+1)-minor is zero and the rank is r.  When a prime raises r,
     the earlier primes still gave ranks <= r, so P keeps them.
     """
-    if _has_parameters(matrix):
-        raise PolicyMismatchError(
-            "matrix has parametric entries; use the generic policy"
-        )
     rows, cols, entries = _compress(matrix)
     if rows == 0:
         return RankResult(
@@ -351,11 +347,6 @@ def generic_rank(
         p = next(_admissible_primes(matrix, rng))
     _check_prime(p)
     rows, cols, entries = _compress(matrix)
-    if rows == 0:
-        return RankResult(
-            0, mode="generic", certainty="probabilistic", prime=p, trials=trials,
-            failure_bound=0.0,
-        )
     names = sorted(
         {a.name for a in entries.values() if isinstance(a, Parameter)}
     )

@@ -44,6 +44,11 @@ from .gaussian import (
 MultiIndex = tuple[int, ...]
 
 
+def _is_int(value: object) -> bool:
+    """A plain int: floats, strings and bools are refused, never truncated."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, slots=True)
 class QuditDims:
     """Local dimensions of the parties; ``delta`` is their product."""
@@ -51,6 +56,8 @@ class QuditDims:
     dims: tuple[int, ...]
 
     def __post_init__(self):
+        if not all(_is_int(d) for d in self.dims):
+            raise InvalidStateError(f"every local dimension must be an integer, got {self.dims}")
         if len(self.dims) < 2:
             raise InvalidStateError("need at least two parties")
         if any(d < 2 for d in self.dims):
@@ -93,6 +100,8 @@ def _check_index(index: MultiIndex, dims: QuditDims) -> None:
             f"ket {index} has {len(index)} digits, expected {dims.n}"
         )
     for j, (i, d) in enumerate(zip(index, dims.dims), start=1):
+        if not _is_int(i):
+            raise InvalidStateError(f"ket digit {i!r} for party {j} is not an integer")
         if not 0 <= i < d:
             raise InvalidStateError(
                 f"ket digit {i} out of range for party {j} (dimension {d})"
@@ -110,10 +119,10 @@ def build_state(
     parameter raises, since the amplitude model has no symbolic sums.
     """
     if not isinstance(dims, QuditDims):
-        dims = QuditDims(tuple(int(d) for d in dims))
+        dims = QuditDims(tuple(dims))
     merged: dict[MultiIndex, Amplitude] = {}
     for raw_index, raw_amp in terms:
-        index = tuple(int(i) for i in raw_index)
+        index = tuple(raw_index)
         _check_index(index, dims)
         amp = as_amplitude(raw_amp)
         if index in merged:
@@ -226,11 +235,9 @@ def _parse_json(text: str) -> StateTensor:
         raise StateSyntaxError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
     if not isinstance(doc, dict) or "dims" not in doc or "terms" not in doc:
         raise StateSyntaxError("JSON state needs 'dims' and 'terms' keys")
-    dims = QuditDims(_json_ints(doc["dims"], "'dims'"))
-    if not isinstance(doc["terms"], list):
-        raise StateSyntaxError("'terms' must be a list")
+    dims = QuditDims(tuple(_json_list(doc["dims"], "'dims'")))
     terms = []
-    for k, entry in enumerate(doc["terms"]):
+    for k, entry in enumerate(_json_list(doc["terms"], "'terms'")):
         if not isinstance(entry, dict) or "coeff" not in entry or "ket" not in entry:
             raise StateSyntaxError(f"term {k} needs 'coeff' and 'ket' keys")
         coeff = entry["coeff"]
@@ -244,17 +251,15 @@ def _parse_json(text: str) -> StateTensor:
             )
         except (ValueError, TypeError) as exc:
             raise StateSyntaxError(f"term {k}: {exc}") from None
-        terms.append((_json_ints(entry["ket"], f"term {k}: 'ket'"), amp))
+        terms.append((_json_list(entry["ket"], f"term {k}: 'ket'"), amp))
     return build_state(dims, terms)
 
 
-def _json_ints(value: object, what: str) -> tuple[int, ...]:
-    """A JSON list of integers as a tuple; floats, bools and strings are refused."""
-    if not isinstance(value, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in value
-    ):
-        raise StateSyntaxError(f"{what} must be a list of integers")
-    return tuple(value)
+def _json_list(value: object, what: str) -> list:
+    """``value`` if it is a JSON list; :func:`build_state` checks its entries."""
+    if not isinstance(value, list):
+        raise StateSyntaxError(f"{what} must be a list")
+    return value
 
 
 def serialize_state(state: StateTensor) -> str:

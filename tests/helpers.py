@@ -17,14 +17,18 @@ from math import lcm
 from multirank import (
     FlattenedMatrix,
     GaussianRational,
+    Parameter,
     PolicyMismatchError,
     QuditDims,
     StateTensor,
     build_state,
 )
-from multirank.rank import _has_parameters
 
 GaussInt = tuple[int, int]
+
+
+def _has_parameters(matrix: FlattenedMatrix) -> bool:
+    return any(isinstance(a, Parameter) for a in matrix.entries.values())
 
 
 def w3() -> StateTensor:

@@ -16,6 +16,7 @@ from multirank import (
     PolicyMismatchError,
     PrimeClashError,
     RankPolicy,
+    RankResult,
     build_state,
     enumerate_bipartitions,
     exact_rank,
@@ -87,6 +88,34 @@ class TestExactRank:
         from multirank import FlattenedMatrix
 
         assert exact_rank(FlattenedMatrix(2, 4, {})).value == 0
+
+    @pytest.mark.parametrize(
+        "route,expected",
+        [
+            (
+                lambda m: modular_rank(m, 7),
+                RankResult(0, mode="modular", certainty="probabilistic", prime=7),
+            ),
+            (
+                generic_rank,
+                RankResult(
+                    0, mode="generic", certainty="probabilistic", prime=2147483059,
+                    trials=8, failure_bound=0.0,
+                ),
+            ),
+            (
+                exact_rank,
+                RankResult(
+                    0, mode="exact", certainty="exact", certificate="structural", primes=0
+                ),
+            ),
+        ],
+        ids=["modular", "generic", "exact"],
+    )
+    def test_zero_matrix_on_every_route(self, route, expected):
+        from multirank import FlattenedMatrix
+
+        assert route(FlattenedMatrix(2, 4, {})) == expected
 
     def test_w_flattening(self):
         assert exact_rank(w_flattening()).value == 2

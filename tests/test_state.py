@@ -141,6 +141,33 @@ class TestParseState:
         with pytest.raises(StateSyntaxError):
             parse_state('{"dims": [2, 2]}')
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # a fault in the JSON structure has no position in the text
+            (
+                '{"dims": [2, 2],\n "terms": [\n  {"coeff": "1", "ket": [0, 0]},\n'
+                '  {"coeff": "1", "ket": 5}\n]}',
+                "term 1: 'ket' must be a list",
+            ),
+            (
+                '{"dims": [2, 2],\n "terms": [\n  {"coeff": "1", "ket": [0, 0]},\n'
+                '  {"coeff": "1", "ket": [0.7, 1]}\n]}',
+                "ket digit 0.7 for party 1 is not an integer",
+            ),
+            ('{"dims": [2, 2]}', "JSON state needs 'dims' and 'terms' keys"),
+            ("", "empty document: missing dims declaration"),
+            # a fault at a place in the text names it
+            ('{"dims": [2, 2],\n "terms": [}', "line 2, column 12: invalid JSON: Expecting value"),
+            ("dims 2 2\n+1 |00\n", "line 2, column 1: expected '<coeff> |<ket>>'"),
+        ],
+        ids=["ket-not-a-list", "float-digit", "missing-key", "empty", "bad-json", "bad-line"],
+    )
+    def test_error_names_a_position_only_when_there_is_one(self, text, message):
+        with pytest.raises((StateSyntaxError, InvalidStateError)) as err:
+            parse_state(text)
+        assert str(err.value) == message
+
 
 class TestBuildState:
     def test_canonical_reduction(self):
@@ -174,6 +201,31 @@ class TestBuildState:
     def test_too_few_parties(self):
         with pytest.raises(InvalidStateError):
             build_state((4,), [((0,), 1)])
+
+    @pytest.mark.parametrize(
+        "dims,ket",
+        [
+            ((2.9, 2), (0, 0)),
+            ((2.0, 2), (0, 0)),
+            ((True, 2), (0, 0)),
+            (("2", 2), (0, 0)),
+            (([2], 2), (0, 0)),
+            ((2, 2), (0.7, 1)),
+            ((2, 2), (1.0, 0)),
+            ((2, 2), (True, 0)),
+            ((2, 2), ("1", 0)),
+            ((2, 2), ([0], 1)),
+        ],
+        ids=[
+            "float-dim", "integral-float-dim", "bool-dim", "string-dim", "list-dim",
+            "float-digit", "integral-float-digit", "bool-digit", "string-digit",
+            "list-digit",
+        ],
+    )
+    def test_non_integer_dims_and_digits_rejected(self, dims, ket):
+        # never truncated or coerced into a different state
+        with pytest.raises(InvalidStateError, match="integer"):
+            build_state(dims, [(ket, 1)])
 
     def test_dimension_one_rejected(self):
         with pytest.raises(InvalidStateError):
