@@ -17,14 +17,7 @@ from .errors import (
     StateSyntaxError,
     ZeroStateError,
 )
-from .flatten import (
-    FlattenedMatrix,
-    dense_string_rows,
-    flatten,
-    matrix_from_dense,
-    row_col_of,
-    transposed,
-)
+from .flatten import FlattenedMatrix, dense_string_rows, flatten
 from .gaussian import Amplitude, GaussianRational, Parameter, parse_coefficient
 from .kernels import BACKEND
 from .partition import Bipartition, all_levels, enumerate_bipartitions
@@ -45,7 +38,6 @@ from .state import (
     apply_local_operation,
     build_state,
     parse_state,
-    serialize_state,
 )
 
 __version__ = "0.1.0"
@@ -81,7 +73,6 @@ __all__ = [
     "generic_rank",
     "is_fully_product",
     "is_gme",
-    "matrix_from_dense",
     "modular_rank",
     "multirank_profile",
     "parse_coefficient",
@@ -89,8 +80,5 @@ __all__ = [
     "parse_state",
     "profile_level",
     "rank_dispatch",
-    "row_col_of",
-    "serialize_state",
-    "transposed",
     "verdict",
 ]

@@ -12,10 +12,10 @@ the dense tensor is never materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import InvalidStateError
-from .gaussian import Amplitude, GaussianRational, as_amplitude
+from .gaussian import Amplitude
 from .partition import Bipartition
 from .state import MultiIndex, QuditDims, StateTensor
 
@@ -73,32 +73,6 @@ def _check_consistent(dims: QuditDims, bipartition: Bipartition) -> None:
         dim_rows *= dims.dims[j - 1]
     if dim_rows != bipartition.dim_rows or dims.delta != dim_rows * bipartition.dim_cols:
         raise InvalidStateError("bipartition dimensions disagree with the state dims")
-
-
-def transposed(matrix: FlattenedMatrix) -> FlattenedMatrix:
-    """Swap rows and columns; the result carries no bipartition."""
-    return FlattenedMatrix(
-        rows=matrix.cols,
-        cols=matrix.rows,
-        entries={(c, r): a for (r, c), a in matrix.entries.items()},
-        bipartition=None,
-    )
-
-
-def matrix_from_dense(rows: Sequence[Sequence[object]]) -> FlattenedMatrix:
-    """Convenience constructor from dense values (zeros are dropped)."""
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if n_rows else 0
-    entries: dict[tuple[int, int], Amplitude] = {}
-    for r, row in enumerate(rows):
-        if len(row) != n_cols:
-            raise ValueError("ragged rows")
-        for c, value in enumerate(row):
-            amp = as_amplitude(value)
-            if isinstance(amp, GaussianRational) and amp.is_zero:
-                continue
-            entries[(r, c)] = amp
-    return FlattenedMatrix(rows=n_rows, cols=n_cols, entries=entries)
 
 
 def dense_string_rows(matrix: FlattenedMatrix) -> list[list[str]]:

@@ -5,10 +5,8 @@ Three routes, one contract:
 * :func:`modular_rank` eliminates over GF(p)[i] with p an odd prime
   congruent to 3 mod 4, so i*i + 1 is irreducible and the quotient is
   the field GF(p^2).  The result never exceeds the exact rank; it can
-  undershoot when p divides a pivot minor.  A rational amplitude becomes
-  a residue through one inverse of its denominator, ``pow(d, -1, p)``;
-  p < 2**31 lets the kernel reduce each update once (see
-  :mod:`multirank.kernels`).
+  undershoot when p divides a pivot minor.  p < 2**31 lets the kernel
+  reduce each update once (see :mod:`multirank.kernels`).
 
 * :func:`exact_rank` works over the Gaussian rationals by modular passes
   alone.  The largest modular rank seen is the lower bound; the upper
@@ -23,8 +21,11 @@ Three routes, one contract:
   most deg/p with deg bounded by the smaller matrix dimension (entries
   are at most linear in the parameters).
 
-Every route first discards all-zero rows and columns, so the working
-matrix is never larger than the number of nonzero entries on a side.
+Every route starts from :func:`_compress`, the one place where
+amplitudes become numbers: it discards all-zero rows and columns, so the
+working matrix is never larger than the number of nonzero entries on a
+side, and clears each row's denominators, so every entry is a pair of
+integers.  A modular pass then only reduces those integers mod p.
 :func:`rank_dispatch` glues the routes together under a policy; the
 exact and fast policies are two names for :func:`exact_rank`.
 """
@@ -34,8 +35,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain
-from math import lcm, prod
+from math import isqrt, lcm, prod
 from typing import Optional
 
 import numpy as np
@@ -159,15 +161,60 @@ def _policy_from_text(text: str) -> RankPolicy:
 
 
 def _compress(matrix: FlattenedMatrix):
-    """Relabel to the nonzero rows/cols only; rank is unaffected."""
-    row_ids = sorted({r for r, _ in matrix.entries})
-    col_ids = sorted({c for _, c in matrix.entries})
-    row_of = {r: i for i, r in enumerate(row_ids)}
-    col_of = {c: i for i, c in enumerate(col_ids)}
-    entries = {
-        (row_of[r], col_of[c]): amp for (r, c), amp in matrix.entries.items()
-    }
-    return len(row_ids), len(col_ids), entries
+    """Nonzero rows and cols only, each row cleared of its denominators.
+
+    Returns ``(rows, cols, scale)``.  ``rows`` lists, in row order,
+    ``(s, [(col, entry), ...])``: ``s`` is the lcm of the row's
+    denominators, and each entry is the Gaussian integer ``s * amplitude``
+    as a pair ``(re, im)``, or a :class:`Parameter`, which a pass scales by
+    ``s`` when it draws the parameter's value.  ``scale`` is the lcm of
+    every denominator.  A prime that does not divide ``scale`` divides no
+    ``s``, so the cleared matrix has the same rank mod p.
+    """
+    by_row: dict[int, list] = {}
+    for (r, c), amp in matrix.entries.items():
+        by_row.setdefault(r, []).append((c, amp))
+    col_of = {c: i for i, c in enumerate(sorted({c for _, c in matrix.entries}))}
+    rows, scale = [], 1
+    for r in sorted(by_row):
+        amps = [a for _, a in by_row[r] if not isinstance(a, Parameter)]
+        s = lcm(*(d for a in amps for d in (a.re.denominator, a.im.denominator)))
+        row = []
+        for c, a in by_row[r]:
+            if not isinstance(a, Parameter):
+                a = (
+                    a.re.numerator * (s // a.re.denominator),
+                    a.im.numerator * (s // a.im.denominator),
+                )
+            row.append((col_of[c], a))
+        rows.append((s, row))
+        scale = lcm(scale, s)
+    return rows, len(col_of), scale
+
+
+def _pass(rows, cols: int, scale: int, p: int, assignment=None) -> int:
+    """Rank mod p of the compressed matrix, parameters set by ``assignment``.
+
+    Without an assignment a parametric entry raises
+    :class:`PolicyMismatchError`.  That check precedes the one that p
+    divides no denominator, so the error does not depend on term order.
+    """
+    re = np.zeros((len(rows), cols), dtype=np.int64)
+    im = np.zeros((len(rows), cols), dtype=np.int64)
+    for r, (s, row) in enumerate(rows):
+        for c, x in row:
+            if isinstance(x, Parameter):
+                if assignment is None:
+                    raise PolicyMismatchError(
+                        "matrix has parametric entries; use the generic policy"
+                    )
+                a, b = assignment[x.name]
+                re[r, c], im[r, c] = a * s % p, b * s % p
+            else:
+                re[r, c], im[r, c] = x[0] % p, x[1] % p
+    if scale % p == 0:
+        raise PrimeClashError(f"prime {p} divides a denominator")
+    return int(rank_mod_gaussian(re, im, p))
 
 
 # ---------------------------------------------------------------------------
@@ -187,79 +234,34 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
+@cache
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    # trial division by odd q; every caller passes an odd 3 <= n < 2**31.
+    # modular_rank checks its prime once per matrix, hence the cache; it
+    # holds only policy primes and the candidates scanned below the table.
+    return all(n % q for q in range(3, isqrt(n) + 1, 2))
 
 
-def _admissible_primes(matrix: FlattenedMatrix, rng: random.Random):
+def _admissible_primes(scale: int, rng: random.Random):
     """Primes p == 3 (mod 4) below 2**31 that divide no denominator.
 
+    ``scale`` is the lcm of the denominators (see :func:`_compress`).
     First the table in an order shuffled by ``rng``, then the primes
     below the table in descending order.
     """
-    denominators = {
-        d
-        for a in matrix.entries.values()
-        if not isinstance(a, Parameter)
-        for d in (a.re.denominator, a.im.denominator)
-        if d > 1
-    }
     table = list(PRIMES_3_MOD_4)
     rng.shuffle(table)
     below = (p for p in range(PRIMES_3_MOD_4[-1] - 4, 2, -4) if _is_prime(p))
     for p in chain(table, below):
-        if all(d % p for d in denominators):
+        if scale % p:
             yield p
-
-
-def _residue(x: Fraction, p: int) -> int:
-    # checked first: pow(d, -1, p) would raise a bare ValueError instead
-    if x.denominator % p == 0:
-        raise PrimeClashError(f"prime {p} divides a denominator")
-    return x.numerator * pow(x.denominator, -1, p) % p
-
-
-def _modular_arrays(rows, cols, entries, p, assignment=None):
-    re = np.zeros((rows, cols), dtype=np.int64)
-    im = np.zeros((rows, cols), dtype=np.int64)
-    for (r, c), amp in entries.items():
-        if isinstance(amp, Parameter):
-            if assignment is None:
-                raise PolicyMismatchError(
-                    "matrix has parametric entries; use the generic policy"
-                )
-            re[r, c], im[r, c] = assignment[amp.name]
-        else:
-            re[r, c] = _residue(amp.re, p)
-            im[r, c] = _residue(amp.im, p)
-    return re, im
 
 
 def modular_rank(matrix: FlattenedMatrix, p: int) -> RankResult:
     """Rank over GF(p)[i]; a guaranteed lower bound for the exact rank."""
     _check_prime(p)
-    rows, cols, entries = _compress(matrix)
-    re, im = _modular_arrays(rows, cols, entries, p)
-    value = int(rank_mod_gaussian(re, im, p))
+    rows, cols, scale = _compress(matrix)
+    value = _pass(rows, cols, scale, p)
     return RankResult(value, mode="modular", certainty="probabilistic", prime=p)
 
 
@@ -289,39 +291,29 @@ def exact_rank(matrix: FlattenedMatrix, seed: object = 0) -> RankResult:
     every (r+1)-minor is zero and the rank is r.  When a prime raises r,
     the earlier primes still gave ranks <= r, so P keeps them.
     """
-    rows, cols, entries = _compress(matrix)
-    if rows == 0:
+    rows, cols, scale = _compress(matrix)
+    if not rows:
         return RankResult(
             0, mode="exact", certainty="exact", certificate="structural", primes=0
         )
     value, product, norms = 0, 1, None
-    primes = _admissible_primes(matrix, random.Random(f"fast:{seed}"))
+    primes = _admissible_primes(scale, random.Random(f"fast:{seed}"))
     for passes, p in enumerate(primes, start=1):
-        re, im = _modular_arrays(rows, cols, entries, p)
-        value = max(value, int(rank_mod_gaussian(re, im, p)))
-        if value == min(rows, cols):
+        value = max(value, _pass(rows, cols, scale, p))
+        if value == min(len(rows), cols):
             break
         if norms is None:
-            norms = _cleared_row_norms(rows, entries)
+            norms = sorted(
+                (sum(a * a + b * b for _, (a, b) in row) for _, row in rows),
+                reverse=True,
+            )
         product *= p
         if product * product > prod(norms[: value + 1]):
             break
-    certificate = "structural" if value == min(rows, cols) else "hadamard"
+    certificate = "structural" if value == min(len(rows), cols) else "hadamard"
     return RankResult(
         value, mode="exact", certainty="exact", certificate=certificate, primes=passes
     )
-
-
-def _cleared_row_norms(rows: int, entries) -> list[int]:
-    """Squared row norms after per-row denominator clearing, largest first."""
-    amps = [[] for _ in range(rows)]
-    for (r, _), amp in entries.items():
-        amps[r].append(amp)
-    norms = []
-    for row in amps:
-        scale = lcm(*(d for a in row for d in (a.re.denominator, a.im.denominator)))
-        norms.append(int(scale * scale * sum(a.re * a.re + a.im * a.im for a in row)))
-    return sorted(norms, reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -343,23 +335,23 @@ def generic_rank(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(f"generic:{seed}")
+    rows, cols, scale = _compress(matrix)
     if p is None:
-        p = next(_admissible_primes(matrix, rng))
-    _check_prime(p)
-    rows, cols, entries = _compress(matrix)
+        p = next(_admissible_primes(scale, rng))
+    else:
+        _check_prime(p)
     names = sorted(
-        {a.name for a in entries.values() if isinstance(a, Parameter)}
+        {x.name for _, row in rows for _, x in row if isinstance(x, Parameter)}
     )
     best = 0
     for _ in range(trials):
         assignment = {
             name: (rng.randrange(p), rng.randrange(p)) for name in names
         }
-        re, im = _modular_arrays(rows, cols, entries, p, assignment)
-        best = max(best, int(rank_mod_gaussian(re, im, p)))
-        if best == min(rows, cols):
+        best = max(best, _pass(rows, cols, scale, p, assignment))
+        if best == min(len(rows), cols):
             break
-    per_trial = Fraction(min(rows, cols), p)
+    per_trial = Fraction(min(len(rows), cols), p)
     return RankResult(
         best,
         mode="generic",

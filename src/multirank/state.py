@@ -94,17 +94,19 @@ class StateTensor:
         return sorted({a.name for a in self.terms.values() if isinstance(a, Parameter)})
 
 
-def _check_index(index: MultiIndex, dims: QuditDims) -> None:
+def _check_index(index: MultiIndex, dims: QuditDims, k: int) -> None:
     if len(index) != dims.n:
         raise InvalidStateError(
-            f"ket {index} has {len(index)} digits, expected {dims.n}"
+            f"term {k}: ket {index} has {len(index)} digits, expected {dims.n}"
         )
     for j, (i, d) in enumerate(zip(index, dims.dims), start=1):
         if not _is_int(i):
-            raise InvalidStateError(f"ket digit {i!r} for party {j} is not an integer")
+            raise InvalidStateError(
+                f"term {k}: ket digit {i!r} for party {j} is not an integer"
+            )
         if not 0 <= i < d:
             raise InvalidStateError(
-                f"ket digit {i} out of range for party {j} (dimension {d})"
+                f"term {k}: ket digit {i} out of range for party {j} (dimension {d})"
             )
 
 
@@ -117,19 +119,20 @@ def build_state(
     Duplicate multi-indices are merged by exact addition.  Merging is
     only defined for Gaussian amplitudes; a collision involving a
     parameter raises, since the amplitude model has no symbolic sums.
+    An error about one term starts ``term K:``, K its 0-based position.
     """
     if not isinstance(dims, QuditDims):
         dims = QuditDims(tuple(dims))
     merged: dict[MultiIndex, Amplitude] = {}
-    for raw_index, raw_amp in terms:
+    for k, (raw_index, raw_amp) in enumerate(terms):
         index = tuple(raw_index)
-        _check_index(index, dims)
+        _check_index(index, dims, k)
         amp = as_amplitude(raw_amp)
         if index in merged:
             old = merged[index]
             if isinstance(old, Parameter) or isinstance(amp, Parameter):
                 raise InvalidStateError(
-                    f"cannot merge a parametric amplitude at ket {index}"
+                    f"term {k}: cannot merge a parametric amplitude at ket {index}"
                 )
             merged[index] = old + amp
         else:
@@ -220,9 +223,7 @@ def _parse_lines(text: str) -> StateTensor:
             amp = parse_coefficient(coeff_text)
         except ValueError as exc:
             raise StateSyntaxError(str(exc), line, col) from None
-        ket = _parse_ket(ket_text, dims, line, col)
-        _check_index(ket, dims)
-        terms.append((ket, amp))
+        terms.append((_parse_ket(ket_text, dims, line, col), amp))
     if dims is None:
         raise StateSyntaxError("empty document: missing dims declaration")
     return build_state(dims, terms)
@@ -260,16 +261,6 @@ def _json_list(value: object, what: str) -> list:
     if not isinstance(value, list):
         raise StateSyntaxError(f"{what} must be a list")
     return value
-
-
-def serialize_state(state: StateTensor) -> str:
-    """Render a state back into the line grammar; reparses term-identical."""
-    lines = ["dims " + " ".join(str(d) for d in state.dims.dims)]
-    digit_form = all(d <= 10 for d in state.dims.dims)
-    for index in sorted(state.terms):
-        ket = "".join(str(i) for i in index) if digit_form else ",".join(str(i) for i in index)
-        lines.append(f"{state.terms[index]} |{ket}>")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

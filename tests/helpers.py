@@ -1,7 +1,8 @@
 """Shared constructions for the test suite.
 
 Random states, random invertible local matrices, the four reference
-states exercised throughout, and two reference ranks that share no code
+states exercised throughout, builders for dense matrices, transposes and
+line-grammar text, and two reference ranks that share no code
 with the library's modular routes: fraction-free Bareiss elimination and
 exhaustive minors.  Every generator takes an explicit ``random.Random``
 so tests stay reproducible.
@@ -23,6 +24,7 @@ from multirank import (
     StateTensor,
     build_state,
 )
+from multirank.gaussian import as_amplitude
 
 GaussInt = tuple[int, int]
 
@@ -71,6 +73,41 @@ REFERENCE_PROFILES = {
         [[3] * 6, [3, 4, 4, 4, 4, 4, 4, 4, 4, 3, 4, 4, 4, 4, 3], [4] * 20],
     ),
 }
+
+
+def matrix_from_dense(rows) -> FlattenedMatrix:
+    """A matrix from dense values (anything ``as_amplitude`` takes); zeros are dropped."""
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if n_rows else 0
+    entries = {}
+    for r, row in enumerate(rows):
+        if len(row) != n_cols:
+            raise ValueError("ragged rows")
+        for c, value in enumerate(row):
+            amp = as_amplitude(value)
+            if isinstance(amp, GaussianRational) and amp.is_zero:
+                continue
+            entries[(r, c)] = amp
+    return FlattenedMatrix(rows=n_rows, cols=n_cols, entries=entries)
+
+
+def transposed(matrix: FlattenedMatrix) -> FlattenedMatrix:
+    """Swap rows and columns; the result carries no bipartition."""
+    return FlattenedMatrix(
+        rows=matrix.cols,
+        cols=matrix.rows,
+        entries={(c, r): a for (r, c), a in matrix.entries.items()},
+    )
+
+
+def serialize_state(state: StateTensor) -> str:
+    """Render a state in the line grammar; it reparses term-identical."""
+    lines = ["dims " + " ".join(str(d) for d in state.dims.dims)]
+    digit_form = all(d <= 10 for d in state.dims.dims)
+    for index in sorted(state.terms):
+        ket = "".join(str(i) for i in index) if digit_form else ",".join(str(i) for i in index)
+        lines.append(f"{state.terms[index]} |{ket}>")
+    return "\n".join(lines) + "\n"
 
 
 def gauss(re=0, im=0) -> GaussianRational:

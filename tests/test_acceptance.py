@@ -21,7 +21,6 @@ from multirank import (
     is_gme,
     multirank_profile,
     parse_state,
-    transposed,
     verdict,
 )
 from multirank.cli import format_rank_lists
@@ -35,6 +34,7 @@ from helpers import (
     rand_invertible_matrix,
     rand_product_state,
     rand_state,
+    transposed,
     w3,
 )
 from test_rank import rand_matrix

@@ -172,6 +172,30 @@ def test_parametric_under_fast_is_exit_4():
     assert result.returncode == 4
 
 
+@pytest.mark.parametrize(
+    "terms", ["1/7 |00>\na |11>", "a |11>\n1/7 |00>"], ids=["fraction-first", "parameter-first"]
+)
+def test_parametric_state_with_clashing_denominator_is_exit_4(tmp_path, terms):
+    # the policy mismatch wins over the prime clash, whatever the term order
+    doc = tmp_path / "clash.state"
+    doc.write_text(f"dims 2 2\n{terms}\n")
+    result = run_cli(str(doc), "--rank", "mod:7")
+    assert result.returncode == 4
+    assert result.stderr == (
+        "multirank: matrix has parametric entries; use the generic policy\n"
+    )
+
+
+def test_generic_scales_a_parameter_with_its_row(tmp_path):
+    # row 0 (1/2, a) clears to (1, 2a); drawing a into the cleared row
+    # unscaled would make it equal to row 1 (1, a)
+    doc = tmp_path / "shared.state"
+    doc.write_text("dims 2 2\n1/2 |00>\na |01>\n1 |10>\na |11>\n")
+    result = run_cli(str(doc), "--rank", "generic")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == "{{2, 2}}"
+
+
 def test_unreadable_input_is_exit_2(tmp_path):
     result = run_cli(str(tmp_path / "missing.state"))
     assert result.returncode == 2

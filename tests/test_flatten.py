@@ -12,11 +12,9 @@ from multirank import (
     dense_string_rows,
     enumerate_bipartitions,
     flatten,
-    matrix_from_dense,
-    row_col_of,
-    transposed,
 )
-from helpers import cluster4, gauss, rand_state, w3
+from multirank.flatten import row_col_of
+from helpers import cluster4, gauss, matrix_from_dense, rand_state, transposed, w3
 
 
 def test_row_col_examples():

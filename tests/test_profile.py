@@ -12,10 +12,15 @@ from multirank import (
     flatten,
     multirank_profile,
     profile_level,
+)
+from helpers import (
+    REFERENCE_PROFILES,
+    compressed_dense,
+    matrix_from_dense,
+    oracle_rank_minors,
+    rand_state,
     transposed,
 )
-from helpers import REFERENCE_PROFILES, compressed_dense, oracle_rank_minors, rand_state
-from multirank import matrix_from_dense
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_PROFILES))

@@ -22,21 +22,21 @@ from multirank import (
     exact_rank,
     flatten,
     generic_rank,
-    matrix_from_dense,
     modular_rank,
     parse_policy,
     parse_state,
     rank_dispatch,
-    transposed,
 )
 from helpers import (
     bareiss_rank,
     gauss,
+    matrix_from_dense,
     oracle_rank_minors,
     rand_cut_product_state,
     rand_gauss_fraction,
     rand_gauss_int,
     rand_state,
+    transposed,
     w3,
 )
 
@@ -236,6 +236,14 @@ class TestCertificate:
                     assert result.primes >= 1
         assert deficits >= 50
 
+    def test_norms_use_each_row_own_denominators(self):
+        # row 0 clears to (1, 1), so H = 2 * 2 and one prime certifies
+        # rank 1; clearing every row by 2**200 would make H = 2**402 and
+        # take seven primes
+        tiny = Fraction(1, 2**200)
+        result = exact_rank(matrix_from_dense([[tiny, tiny], [1, 1]]))
+        assert (result.value, result.certificate, result.primes) == (1, "hadamard", 1)
+
 
 class TestModularRank:
     def test_invertible_mod_three(self):
@@ -301,6 +309,11 @@ class TestGenericRank:
         state = build_state((2, 2), [((0, 0), "a"), ((1, 1), "a")])
         matrix = flatten(state, enumerate_bipartitions(state.dims, 1)[0])
         assert generic_rank(matrix, trials=4, seed=9).value == 2
+
+    def test_prime_dividing_denominator(self):
+        matrix = matrix_from_dense([[Fraction(1, 7), "a"], [1, 1]])
+        with pytest.raises(PrimeClashError):
+            generic_rank(matrix, trials=2, p=7)
 
     def test_monotone_in_trials(self):
         state = parse_state("dims 2 2 ; a |00> ; b |11> ; +1 |01>")

@@ -18,9 +18,8 @@ from multirank import (
     enumerate_bipartitions,
     parse_coefficient,
     parse_state,
-    serialize_state,
 )
-from helpers import gauss, rand_gauss_int, rand_state, w3
+from helpers import gauss, rand_gauss_int, rand_state, serialize_state, w3
 
 
 class TestParseCoefficient:
@@ -153,15 +152,31 @@ class TestParseState:
             (
                 '{"dims": [2, 2],\n "terms": [\n  {"coeff": "1", "ket": [0, 0]},\n'
                 '  {"coeff": "1", "ket": [0.7, 1]}\n]}',
-                "ket digit 0.7 for party 1 is not an integer",
+                "term 1: ket digit 0.7 for party 1 is not an integer",
             ),
             ('{"dims": [2, 2]}', "JSON state needs 'dims' and 'terms' keys"),
             ("", "empty document: missing dims declaration"),
+            # a fault in one term names the term, counted from 0
+            (
+                "dims 2 2\n+1 |00>\n+1 |02>\n",
+                "term 1: ket digit 2 out of range for party 2 (dimension 2)",
+            ),
+            ("dims 2 2\n+1 |00>\n+1 |011>\n", "term 1: ket (0, 1, 1) has 3 digits, expected 2"),
+            (
+                "dims 2 2\na |00>\n+1 |00>\n",
+                "term 1: cannot merge a parametric amplitude at ket (0, 0)",
+            ),
             # a fault at a place in the text names it
             ('{"dims": [2, 2],\n "terms": [}', "line 2, column 12: invalid JSON: Expecting value"),
             ("dims 2 2\n+1 |00\n", "line 2, column 1: expected '<coeff> |<ket>>'"),
+            # every line is parsed before build_state checks any ket, so
+            # the syntax fault on line 3 is reported, not the range fault
+            ("dims 2 2\n+1 |02>\n+1 |0x>\n", "line 3, column 1: malformed ket |0x>"),
         ],
-        ids=["ket-not-a-list", "float-digit", "missing-key", "empty", "bad-json", "bad-line"],
+        ids=[
+            "ket-not-a-list", "float-digit", "missing-key", "empty", "out-of-range",
+            "wrong-length", "parametric-merge", "bad-json", "bad-line", "two-faults",
+        ],
     )
     def test_error_names_a_position_only_when_there_is_one(self, text, message):
         with pytest.raises((StateSyntaxError, InvalidStateError)) as err:
