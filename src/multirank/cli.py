@@ -98,9 +98,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         policy = parse_policy(args.rank)
-        levels = None if args.levels == "all" else int(args.levels)
     except ValueError as exc:
         print(f"multirank: {exc}", file=sys.stderr)
+        return 2
+    try:
+        levels = None if args.levels == "all" else int(args.levels)
+    except ValueError:
+        print(
+            f"multirank: --levels must be 'all' or a level between 1 and "
+            f"floor(n/2), got {args.levels!r}",
+            file=sys.stderr,
+        )
         return 2
     if not 0 <= args.seed < 2**64:
         print("multirank: seed must fit in 64 bits", file=sys.stderr)

@@ -2,10 +2,12 @@
 
 Levels run from 1 to floor(n/2); inside a level the bipartitions keep
 their lexicographic order, so the flat list of values lines up with the
-printed output position by position.  Each matrix gets its own random
-stream derived from the master seed, which makes results independent of
-evaluation order (flattenings are pure functions of immutable inputs
-and could be computed concurrently).
+printed output position by position.  Under the exact and fast
+policies a rank depends on its matrix alone.  Under the generic policy
+each matrix gets its own random stream derived from the master seed and
+its position, so results never depend on evaluation order (flattenings
+are pure functions of immutable inputs and could be computed
+concurrently).
 """
 
 from __future__ import annotations

@@ -9,17 +9,17 @@ Three routes, one contract:
   reduce each update once (see :mod:`multirank.kernels`).
 
 * :func:`exact_rank` works over the Gaussian rationals by modular passes
-  alone.  The largest modular rank seen is the lower bound; the upper
-  bound is either min(nonzero rows, nonzero cols) or a multi-prime
-  Hadamard certificate: once the product of the primes used exceeds the
-  Hadamard bound on the next-larger minors of the row-cleared
-  Gaussian-integer matrix, those minors are all zero.
+  at one fixed sequence of primes, so it depends on the matrix alone.
+  The largest modular rank is the lower bound; the upper bound is
+  min(nonzero rows, nonzero cols) or a multi-prime Hadamard certificate:
+  once the product of the primes used exceeds the Hadamard bound on the
+  next-larger minors of the row-cleared matrix, those minors are all zero.
 
-* :func:`generic_rank` substitutes uniform random field elements for
-  each named parameter, takes the modular rank, and maximizes over
-  trials.  By Schwartz-Zippel the per-trial failure probability is at
-  most deg/p with deg bounded by the smaller matrix dimension (entries
-  are at most linear in the parameters).
+* :func:`generic_rank`, the one route that draws from a seed, substitutes
+  uniform random field elements for each named parameter, takes the
+  modular rank, and maximizes over trials.  By Schwartz-Zippel the
+  per-trial failure probability is at most deg/p with deg bounded by the
+  smaller matrix dimension (entries are at most linear in the parameters).
 
 Every route starts from :func:`_compress`, the one place where
 amplitudes become numbers: it discards all-zero rows and columns, so the
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain
-from math import isqrt, lcm, prod
+from math import isqrt, lcm, log2, prod
 from typing import Optional
 
 import numpy as np
@@ -163,7 +163,7 @@ def _policy_from_text(text: str) -> RankPolicy:
 def _compress(matrix: FlattenedMatrix):
     """Nonzero rows and cols only, each row cleared of its denominators.
 
-    Returns ``(rows, cols, scale)``.  ``rows`` lists, in row order,
+    Returns ``(rows, cols, scale)``.  ``rows`` lists, in first-seen order,
     ``(s, [(col, entry), ...])``: ``s`` is the lcm of the row's
     denominators, and each entry is the Gaussian integer ``s * amplitude``
     as a pair ``(re, im)``, or a :class:`Parameter`, which a pass scales by
@@ -174,13 +174,13 @@ def _compress(matrix: FlattenedMatrix):
     by_row: dict[int, list] = {}
     for (r, c), amp in matrix.entries.items():
         by_row.setdefault(r, []).append((c, amp))
-    col_of = {c: i for i, c in enumerate(sorted({c for _, c in matrix.entries}))}
+    col_of = {c: i for i, c in enumerate(dict.fromkeys(c for _, c in matrix.entries))}
     rows, scale = [], 1
-    for r in sorted(by_row):
-        amps = [a for _, a in by_row[r] if not isinstance(a, Parameter)]
+    for entries in by_row.values():
+        amps = [a for _, a in entries if not isinstance(a, Parameter)]
         s = lcm(*(d for a in amps for d in (a.re.denominator, a.im.denominator)))
         row = []
-        for c, a in by_row[r]:
+        for c, a in entries:
             if not isinstance(a, Parameter):
                 a = (
                     a.re.numerator * (s // a.re.denominator),
@@ -242,15 +242,12 @@ def _is_prime(n: int) -> bool:
     return all(n % q for q in range(3, isqrt(n) + 1, 2))
 
 
-def _admissible_primes(scale: int, rng: random.Random):
+def _admissible_primes(scale: int, table=PRIMES_3_MOD_4):
     """Primes p == 3 (mod 4) below 2**31 that divide no denominator.
 
     ``scale`` is the lcm of the denominators (see :func:`_compress`).
-    First the table in an order shuffled by ``rng``, then the primes
-    below the table in descending order.
+    First ``table`` in its order, then the smaller primes, descending.
     """
-    table = list(PRIMES_3_MOD_4)
-    rng.shuffle(table)
     below = (p for p in range(PRIMES_3_MOD_4[-1] - 4, 2, -4) if _is_prime(p))
     for p in chain(table, below):
         if scale % p:
@@ -269,7 +266,7 @@ def modular_rank(matrix: FlattenedMatrix, p: int) -> RankResult:
 # Exact route
 
 
-def exact_rank(matrix: FlattenedMatrix, seed: object = 0) -> RankResult:
+def exact_rank(matrix: FlattenedMatrix) -> RankResult:
     """Rank over the Gaussian rationals, certified by modular passes alone.
 
     Each admissible prime p (see :func:`_admissible_primes`) gives a
@@ -297,8 +294,7 @@ def exact_rank(matrix: FlattenedMatrix, seed: object = 0) -> RankResult:
             0, mode="exact", certainty="exact", certificate="structural", primes=0
         )
     value, product, norms = 0, 1, None
-    primes = _admissible_primes(scale, random.Random(f"fast:{seed}"))
-    for passes, p in enumerate(primes, start=1):
+    for passes, p in enumerate(_admissible_primes(scale), start=1):
         value = max(value, _pass(rows, cols, scale, p))
         if value == min(len(rows), cols):
             break
@@ -330,14 +326,16 @@ def generic_rank(
 
     Equals the generic rank (the rank away from a measure-zero parameter
     set) except with probability at most (deg/p)**trials, reported in
-    ``failure_bound``.
+    ``failure_bound`` and capped at 1.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(f"generic:{seed}")
     rows, cols, scale = _compress(matrix)
     if p is None:
-        p = next(_admissible_primes(scale, rng))
+        table = list(PRIMES_3_MOD_4)
+        rng.shuffle(table)
+        p = next(_admissible_primes(scale, table))
     else:
         _check_prime(p)
     names = sorted(
@@ -351,14 +349,15 @@ def generic_rank(
         best = max(best, _pass(rows, cols, scale, p, assignment))
         if best == min(len(rows), cols):
             break
-    per_trial = Fraction(min(len(rows), cols), p)
+    per_trial = min(Fraction(min(len(rows), cols), p), 1)
+    tiny = per_trial and trials * -log2(per_trial) > 1100  # power < 2**-1076
     return RankResult(
         best,
         mode="generic",
         certainty="probabilistic",
         prime=p,
         trials=trials,
-        failure_bound=float(per_trial**trials),
+        failure_bound=0.0 if tiny else float(per_trial**trials),
     )
 
 
@@ -370,9 +369,9 @@ def rank_dispatch(
     matrix: FlattenedMatrix, policy: RankPolicy, seed: object = 0
 ) -> RankResult:
     """Run one matrix through the policy; exact and fast both run
-    :func:`exact_rank`."""
+    :func:`exact_rank`.  Only the generic route draws from ``seed``."""
     if policy.kind in ("exact", "fast"):
-        return exact_rank(matrix, seed=seed)
+        return exact_rank(matrix)
     if policy.kind == "generic":
         trials = DEFAULT_GENERIC_TRIALS if policy.trials is None else policy.trials
         return generic_rank(matrix, trials=trials, p=policy.prime, seed=seed)

@@ -125,9 +125,17 @@ def build_state(
         dims = QuditDims(tuple(dims))
     merged: dict[MultiIndex, Amplitude] = {}
     for k, (raw_index, raw_amp) in enumerate(terms):
-        index = tuple(raw_index)
+        try:
+            index = tuple(raw_index)
+        except TypeError:
+            raise InvalidStateError(
+                f"term {k}: ket {raw_index!r} is not a sequence"
+            ) from None
         _check_index(index, dims, k)
-        amp = as_amplitude(raw_amp)
+        try:
+            amp = as_amplitude(raw_amp)
+        except (TypeError, ValueError) as exc:
+            raise InvalidStateError(f"term {k}: {exc}") from None
         if index in merged:
             old = merged[index]
             if isinstance(old, Parameter) or isinstance(amp, Parameter):
@@ -279,10 +287,15 @@ def apply_local_operation(
     leave every flattening rank unchanged; that is verified by the test
     suite, not assumed here.
     """
+    if not _is_int(site):
+        raise InvalidStateError(f"site must be an integer, got {site!r}")
     if not 1 <= site <= state.dims.n:
         raise InvalidStateError(f"site {site} out of range for {state.dims.n} parties")
     d = state.dims.dims[site - 1]
-    rows = [[as_gaussian(v) for v in row] for row in matrix]
+    try:
+        rows = [[as_gaussian(v) for v in row] for row in matrix]
+    except (TypeError, ValueError) as exc:
+        raise InvalidStateError(f"matrix for site {site}: {exc}") from None
     if len(rows) != d or any(len(row) != d for row in rows):
         raise InvalidStateError(f"matrix must be {d}x{d} for site {site}")
     if state.has_parameters:

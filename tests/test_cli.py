@@ -228,6 +228,51 @@ def test_bad_policy_value_is_exit_2_before_reading(tmp_path, capsys, policy, mes
     assert message in err and "cannot read input" not in err
 
 
+def test_bad_levels_is_exit_2_before_reading(tmp_path, capsys):
+    from multirank.cli import main
+
+    code = main([str(tmp_path / "missing.state"), "--levels", "x"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (
+        "multirank: --levels must be 'all' or a level between 1 and floor(n/2), got 'x'\n"
+    )
+
+
+@pytest.mark.parametrize("policy", ["fast", "exact"])
+def test_certified_json_does_not_depend_on_the_seed(tmp_path, capsys, policy):
+    from multirank.cli import main
+
+    # the first table prime divides the |00> amplitude, so I=[1] takes 2 passes
+    path = tmp_path / "big.state"
+    path.write_text("dims 2 2\n2147483647 |00>\n1 |11>\n")
+    docs = []
+    for seed in range(1, 9):
+        argv = [str(path), "--rank", policy, "--format", "json", "--seed", str(seed)]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        del doc["seed"]
+        docs.append(doc)
+    assert all(doc == docs[0] for doc in docs)
+    assert docs[0]["levels"][0]["ranks"][0]["primes"] == 2
+
+
+def test_generic_bound_on_more_rows_than_the_prime(tmp_path, capsys):
+    from multirank.cli import main
+
+    # level-3 flattenings are 8x8, so deg/p = 8/7 and the bound is capped at 1
+    rng = random.Random(2)
+    path = tmp_path / "dense6.state"
+    path.write_text(
+        "dims 2 2 2 2 2 2\n"
+        + "".join(f"{rng.randint(1, 6)} |{x:06b}>\n" for x in range(64))
+    )
+    assert main([str(path), "--rank", "generic:6000,7", "--format", "json"]) == 0
+    levels = json.loads(capsys.readouterr().out)["levels"]
+    assert {e["failure_bound"] for e in levels[2]["ranks"]} == {1.0}
+    assert {e["failure_bound"] for e in levels[0]["ranks"]} == {0.0}
+
+
 def test_json_input_document(tmp_path):
     doc = tmp_path / "w3.json"
     doc.write_text(

@@ -6,6 +6,7 @@ are used to check.
 """
 
 import random
+import time
 from fractions import Fraction
 from math import isqrt, prod
 
@@ -13,6 +14,7 @@ import pytest
 
 from multirank import (
     PRIMES_3_MOD_4,
+    FlattenedMatrix,
     PolicyMismatchError,
     PrimeClashError,
     RankPolicy,
@@ -208,13 +210,40 @@ class TestCertificate:
         assert len(primes) == 21 and primes[-1] < min(PRIMES_3_MOD_4)
         assert (result.certificate, result.primes) == (certificate, 21)
 
+    def test_primes_follow_the_table_order(self, monkeypatch):
+        import multirank.rank as rank_module
+
+        primes = []
+        kernel = rank_module.rank_mod_gaussian
+
+        def spy(re, im, p):
+            primes.append(p)
+            return kernel(re, im, p)
+
+        monkeypatch.setattr(rank_module, "rank_mod_gaussian", spy)
+        result = exact_rank(matrix_from_dense([[PRIMES_3_MOD_4[0], 0], [0, 1]]))
+        assert primes == list(PRIMES_3_MOD_4[:2])
+        assert (result.value, result.certificate, result.primes) == (2, "structural", 2)
+
+    def test_result_ignores_row_col_and_entry_order(self):
+        rng = random.Random(83)
+        for _ in range(60):
+            matrix = rand_matrix(rng, max_dim=5)
+            row_perm = rng.sample(range(matrix.rows), matrix.rows)
+            col_perm = rng.sample(range(matrix.cols), matrix.cols)
+            entries = {
+                (row_perm[r], col_perm[c]): a
+                for (r, c), a in reversed(list(matrix.entries.items()))
+            }
+            shuffled = FlattenedMatrix(matrix.rows, matrix.cols, entries)
+            assert exact_rank(shuffled) == exact_rank(matrix)
+
     def test_rational_cancellation_deficit(self):
         row = [gauss(Fraction(1, 2)), gauss(Fraction(1, 3), 1), gauss(0, Fraction(-5, 7))]
         scale = gauss(Fraction(3, 2), Fraction(-1, 4))
         matrix = matrix_from_dense([row, [scale * x for x in row]])
         assert bareiss_rank(matrix) == 1
-        for seed in range(5):
-            assert exact_rank(matrix, seed=seed).value == 1
+        assert exact_rank(matrix).value == 1
 
     def test_agrees_with_bareiss_on_fractional_cut_products(self):
         rng = random.Random(4242)
@@ -224,7 +253,7 @@ class TestCertificate:
             for level in range(1, state.dims.n // 2 + 1):
                 for bp in enumerate_bipartitions(state.dims, level):
                     matrix = flatten(state, bp)
-                    result = exact_rank(matrix, seed=k)
+                    result = exact_rank(matrix)
                     value = result.value
                     assert value == bareiss_rank(matrix)
                     rows = len({r for r, _ in matrix.entries})
@@ -322,6 +351,27 @@ class TestGenericRank:
             few = generic_rank(matrix, trials=2, p=PRIMES_3_MOD_4[0], seed=seed)
             many = generic_rank(matrix, trials=6, p=PRIMES_3_MOD_4[0], seed=seed)
             assert many.value >= few.value
+
+    @pytest.mark.parametrize("p", [None, 7])
+    def test_failure_bound_skips_a_power_below_every_float(self, p):
+        matrix = matrix_from_dense([["a", 0, 0], [0, 1, 0], [0, 0, 1]])
+        start = time.perf_counter()
+        assert generic_rank(matrix, trials=10**6, p=p).failure_bound == 0.0
+        assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize(
+        "k,p", [(1, 7), (3, 7), (6, 7), (1, PRIMES_3_MOD_4[0]), (2, PRIMES_3_MOD_4[0])]
+    )
+    def test_failure_bound_is_the_exact_power(self, k, p):
+        # (1/p)**t and (2/p)**t with p near 2**31 cross 2**-1076 inside 1..80
+        dense = [["a" if i == j == 0 else int(i == j) for j in range(k)] for i in range(k)]
+        for t in range(1, 81):
+            bound = generic_rank(matrix_from_dense(dense), trials=t, p=p).failure_bound
+            assert bound == float(Fraction(k, p) ** t)
+
+    def test_failure_bound_is_capped_at_one(self):
+        dense = [["a" if i == j == 0 else int(i == j) for j in range(8)] for i in range(8)]
+        assert generic_rank(matrix_from_dense(dense), trials=6000, p=7).failure_bound == 1.0
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -242,6 +242,25 @@ class TestBuildState:
         with pytest.raises(InvalidStateError, match="integer"):
             build_state(dims, [(ket, 1)])
 
+    @pytest.mark.parametrize(
+        "term",
+        [
+            (5, 1),
+            ((0, 0), 1.5),
+            ((0, 0), None),
+            ((0, 0), (1, 2, 3)),
+            ((0, 0), "1/0"),
+            ((0, 0), "x y"),
+        ],
+        ids=[
+            "int-ket", "float-coeff", "none-coeff", "triple-coeff",
+            "zero-denominator", "two-words",
+        ],
+    )
+    def test_unreadable_term_is_invalid_state(self, term):
+        with pytest.raises(InvalidStateError, match=r"^term 1: "):
+            build_state((2, 2), [((1, 1), 1), term])
+
     def test_dimension_one_rejected(self):
         with pytest.raises(InvalidStateError):
             build_state((2, 1), [((0, 0), 1)])
@@ -328,6 +347,21 @@ class TestApplyLocalOperation:
     def test_site_out_of_range(self):
         with pytest.raises(InvalidStateError):
             apply_local_operation(w3(), 4, [[1, 0], [0, 1]])
+
+    @pytest.mark.parametrize(
+        "site,matrix",
+        [
+            (True, [[1, 0], [0, 1]]),
+            (1.0, [[1, 0], [0, 1]]),
+            (1, [[1.5, 0], [0, 1]]),
+            (1, [5, [0, 1]]),
+            (1, [["a", 0], [0, 1]]),
+        ],
+        ids=["bool-site", "float-site", "float-entry", "int-row", "parameter-entry"],
+    )
+    def test_malformed_operation_is_invalid_state(self, site, matrix):
+        with pytest.raises(InvalidStateError):
+            apply_local_operation(w3(), site, matrix)
 
     def test_parametric_state_rejected(self):
         state = parse_state("dims 2 2 ; a |00> ; +1 |11>")
