@@ -128,7 +128,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 def run(config: RunConfig) -> int:
     """Execute one configured run; returns the process exit code."""
     try:
-        with open(config.input_path, "r", encoding="utf-8") as handle:
+        with open(config.input_path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
         print(f"multirank: cannot read input: {exc}", file=sys.stderr)

@@ -9,6 +9,9 @@ The text forms accepted by :func:`parse_coefficient` are whitespace
 tolerant: ``1``, ``-2/3``, ``1/2+1/3i``, ``2i``, ``-i``, or a bare
 identifier such as ``a`` (a parameter).  ``i`` alone always denotes the
 imaginary unit, so a parameter cannot be named ``i``.
+
+:func:`as_amplitude` reads every coefficient that comes from outside the
+package, and coerces none.
 """
 
 from __future__ import annotations
@@ -25,10 +28,6 @@ class GaussianRational:
 
     re: Fraction
     im: Fraction
-
-    @classmethod
-    def of(cls, re: object = 0, im: object = 0) -> "GaussianRational":
-        return cls(Fraction(re), Fraction(im))
 
     @property
     def is_zero(self) -> bool:
@@ -142,22 +141,24 @@ def parse_coefficient(text: str) -> Amplitude:
     raise ValueError(f"malformed coefficient {text!r}")
 
 
+def _is_int(value: object) -> bool:
+    """A plain int: floats, strings and bools are refused, never truncated."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def as_amplitude(value: object) -> Amplitude:
-    """Coerce ints, Fractions, pairs, strings, or amplitudes to an Amplitude."""
+    """Read one coefficient from outside the package as an Amplitude.
+
+    An amplitude passes through; a plain ``int`` or a ``Fraction`` is
+    real; a pair of those is ``(re, im)``; a string goes to
+    :func:`parse_coefficient`.  Anything else, a bool or a float
+    included, raises ``TypeError``: nothing is rounded or coerced.
+    """
     if isinstance(value, (GaussianRational, Parameter)):
         return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(Fraction(value), Fraction(0))
-    if isinstance(value, tuple) and len(value) == 2:
-        return GaussianRational(Fraction(value[0]), Fraction(value[1]))
     if isinstance(value, str):
         return parse_coefficient(value)
-    raise TypeError(f"cannot interpret {value!r} as an amplitude")
-
-
-def as_gaussian(value: object) -> GaussianRational:
-    """Like :func:`as_amplitude` but rejects parameters."""
-    amp = as_amplitude(value)
-    if isinstance(amp, Parameter):
-        raise ValueError(f"expected an exact value, got parameter {amp.name!r}")
-    return amp
+    re, im = value if isinstance(value, tuple) and len(value) == 2 else (value, 0)
+    if not all(_is_int(x) or isinstance(x, Fraction) for x in (re, im)):
+        raise TypeError(f"cannot interpret {value!r} as an amplitude")
+    return GaussianRational(Fraction(re), Fraction(im))

@@ -326,7 +326,8 @@ def generic_rank(
 
     Equals the generic rank (the rank away from a measure-zero parameter
     set) except with probability at most (deg/p)**trials, reported in
-    ``failure_bound`` and capped at 1.
+    ``failure_bound`` and capped at 1.  Without parameters every trial
+    is the same pass, so only the first runs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -347,7 +348,7 @@ def generic_rank(
             name: (rng.randrange(p), rng.randrange(p)) for name in names
         }
         best = max(best, _pass(rows, cols, scale, p, assignment))
-        if best == min(len(rows), cols):
+        if best == min(len(rows), cols) or not names:
             break
     per_trial = min(Fraction(min(len(rows), cols), p), 1)
     tiny = per_trial and trials * -log2(per_trial) > 1100  # power < 2**-1076

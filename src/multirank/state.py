@@ -19,8 +19,12 @@ Two input syntaxes feed :func:`parse_state`:
   comma-separated index lists such as ``|0,12,3>``.
 
 * a JSON document ``{"dims": [...], "terms": [{"coeff": "...",
-  "ket": [...]}, ...]}`` with the same coefficient grammar.
+  "ket": [...]}, ...]}``; a coefficient is a string in the same grammar
+  or an integer, and an object with two equal keys is refused.
 
+Every state, parsed, built from the library or produced by
+:func:`apply_local_operation`, is made by :func:`build_state`, which
+reads each coefficient with :func:`~multirank.gaussian.as_amplitude`.
 Duplicate kets merge by exact addition; terms that cancel are dropped;
 an empty result is rejected (the zero state has no meaningful profile).
 """
@@ -32,21 +36,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InvalidStateError, StateSyntaxError, ZeroStateError
-from .gaussian import (
-    Amplitude,
-    GaussianRational,
-    Parameter,
-    as_amplitude,
-    as_gaussian,
-    parse_coefficient,
-)
+from .gaussian import Amplitude, Parameter, _is_int, as_amplitude, parse_coefficient
 
 MultiIndex = tuple[int, ...]
-
-
-def _is_int(value: object) -> bool:
-    """A plain int: floats, strings and bools are refused, never truncated."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,29 +231,32 @@ def _parse_lines(text: str) -> StateTensor:
 
 def _parse_json(text: str) -> StateTensor:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise StateSyntaxError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
     if not isinstance(doc, dict) or "dims" not in doc or "terms" not in doc:
         raise StateSyntaxError("JSON state needs 'dims' and 'terms' keys")
     dims = QuditDims(tuple(_json_list(doc["dims"], "'dims'")))
-    terms = []
-    for k, entry in enumerate(_json_list(doc["terms"], "'terms'")):
+    return build_state(dims, _json_terms(doc["terms"]))
+
+
+def _json_terms(terms: object):
+    """Yield (ket, coeff) per term, checking each term's shape only when
+    :func:`build_state` reaches it, so the first faulty term is reported."""
+    for k, entry in enumerate(_json_list(terms, "'terms'")):
         if not isinstance(entry, dict) or "coeff" not in entry or "ket" not in entry:
             raise StateSyntaxError(f"term {k} needs 'coeff' and 'ket' keys")
-        coeff = entry["coeff"]
-        if isinstance(coeff, bool):
-            raise StateSyntaxError(f"term {k}: coefficient must not be a boolean")
-        try:
-            amp = (
-                parse_coefficient(coeff)
-                if isinstance(coeff, str)
-                else as_amplitude(coeff)
-            )
-        except (ValueError, TypeError) as exc:
-            raise StateSyntaxError(f"term {k}: {exc}") from None
-        terms.append((_json_list(entry["ket"], f"term {k}: 'ket'"), amp))
-    return build_state(dims, terms)
+        yield _json_list(entry["ket"], f"term {k}: 'ket'"), entry["coeff"]
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object; ``json`` alone would keep the last of two equal keys."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise StateSyntaxError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _json_list(value: object, what: str) -> list:
@@ -283,37 +278,38 @@ def apply_local_operation(
     """Apply an exact d x d matrix to one tensor factor.
 
     ``site`` is the 1-based party label.  Acting on a term ``c|i>`` at
-    that site produces ``sum_k c * A[k][i] |k>``.  Invertible matrices
-    leave every flattening rank unchanged; that is verified by the test
-    suite, not assumed here.
+    that site produces ``sum_k c * A[k][i] |k>``.  Each row is a list or
+    tuple of values that ``as_amplitude`` reads, parameters excepted.
+    Invertible matrices leave every flattening rank unchanged; that is
+    verified by the test suite, not assumed here.
     """
     if not _is_int(site):
         raise InvalidStateError(f"site must be an integer, got {site!r}")
     if not 1 <= site <= state.dims.n:
         raise InvalidStateError(f"site {site} out of range for {state.dims.n} parties")
     d = state.dims.dims[site - 1]
+    rows = []
     try:
-        rows = [[as_gaussian(v) for v in row] for row in matrix]
+        for row in matrix:
+            if not isinstance(row, (list, tuple)):
+                raise TypeError(f"row {row!r} is not a list or tuple")
+            rows.append([as_amplitude(v) for v in row])
     except (TypeError, ValueError) as exc:
         raise InvalidStateError(f"matrix for site {site}: {exc}") from None
     if len(rows) != d or any(len(row) != d for row in rows):
         raise InvalidStateError(f"matrix must be {d}x{d} for site {site}")
-    if state.has_parameters:
+    if state.has_parameters or any(isinstance(v, Parameter) for row in rows for v in row):
         raise InvalidStateError(
-            "local operations on parametric states are not representable "
+            "local operations with parameters are not representable "
             "in the amplitude model"
         )
     axis = site - 1
-    acc: dict[MultiIndex, GaussianRational] = {}
-    for index, amp in state.terms.items():
-        for k in range(d):
-            coeff = rows[k][index[axis]]
-            if coeff.is_zero:
-                continue
-            new_index = index[:axis] + (k,) + index[axis + 1 :]
-            prev = acc.get(new_index)
-            acc[new_index] = coeff * amp if prev is None else prev + coeff * amp
-    nonzero = {k: a for k, a in acc.items() if not a.is_zero}
-    if not nonzero:
-        raise ZeroStateError("the operation annihilated every term")
-    return StateTensor(dims=state.dims, terms=nonzero)
+    return build_state(
+        state.dims,
+        (
+            (index[:axis] + (k,) + index[axis + 1 :], rows[k][index[axis]] * amp)
+            for index, amp in state.terms.items()
+            for k in range(d)
+            if not rows[k][index[axis]].is_zero
+        ),
+    )

@@ -351,7 +351,7 @@ def oracle_rank_minors(matrix: FlattenedMatrix) -> int:
         raise ValueError("minor oracle is restricted to dimensions <= 6")
     if _has_parameters(matrix):
         raise PolicyMismatchError("minor oracle needs non-parametric entries")
-    zero = GaussianRational.of(0)
+    zero = gauss(0)
     dense = [[zero] * matrix.cols for _ in range(matrix.rows)]
     for (r, c), amp in matrix.entries.items():
         dense[r][c] = amp
@@ -368,7 +368,7 @@ def _determinant(sub: list[list[GaussianRational]]) -> GaussianRational:
     n = len(sub)
     if n == 1:
         return sub[0][0]
-    total = GaussianRational.of(0)
+    total = gauss(0)
     for j, top in enumerate(sub[0]):
         if top.is_zero:
             continue

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: outputs, formats, flags, and exit codes."""
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -16,10 +17,13 @@ STATES = REPO / "states"
 
 
 def run_cli(*args, **kwargs):
+    # the child finds the package in src/ without an install, as pytest does
+    path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
         [sys.executable, "-m", "multirank", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
         **kwargs,
     )
 
@@ -312,6 +316,44 @@ def test_malformed_json_document_is_exit_2(tmp_path, capsys, dims, ket, coeff):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == "" and captured.err.startswith("multirank: ")
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ('{"dims": [2, 2], "terms": [{"coeff": "1", "ket": [0, 0]}], "dims": [3, 3]}', "dims"),
+        ('{"dims": [2, 2], "terms": [{"coeff": "1", "coeff": "2", "ket": [0, 0]}]}', "coeff"),
+    ],
+    ids=["document", "term"],
+)
+def test_duplicate_json_key_is_exit_2(tmp_path, capsys, text, key):
+    from multirank.cli import main
+
+    doc = tmp_path / "dup.json"
+    doc.write_text(text)
+    code = main([str(doc)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"multirank: {doc}: duplicate key '{key}'\n"
+
+
+def test_byte_order_mark_is_ignored(tmp_path, capsys):
+    from multirank.cli import main
+
+    json_doc = tmp_path / "w3.json"
+    json_doc.write_text(
+        '{"dims": [2, 2, 2], "terms": [{"coeff": "1", "ket": [0, 0, 1]},'
+        '{"coeff": "1", "ket": [0, 1, 0]}, {"coeff": "1", "ket": [1, 0, 0]}]}'
+    )
+    for original in (STATES / "w3.state", json_doc):
+        bom = tmp_path / f"bom-{original.name}"
+        bom.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+        assert main([str(original)]) == 0
+        expected = capsys.readouterr()
+        assert main([str(bom)]) == 0
+        assert capsys.readouterr().out == expected.out
+        assert expected.out == "{{2, 2, 2}}\nverdict: GME\n"
 
 
 @pytest.mark.parametrize("terms", ["5", '"ab"', '{"coeff": "1", "ket": [0, 0]}'])

@@ -377,6 +377,28 @@ class TestGenericRank:
         with pytest.raises(ValueError):
             generic_rank(matrix_from_dense([["a"]]), trials=0)
 
+    def test_matrix_without_parameters_takes_one_pass(self, monkeypatch):
+        import multirank.rank as rank_module
+
+        calls = []
+        kernel = rank_module.rank_mod_gaussian
+
+        def spy(re, im, p):
+            calls.append(p)
+            return kernel(re, im, p)
+
+        monkeypatch.setattr(rank_module, "rank_mod_gaussian", spy)
+        result = generic_rank(matrix_from_dense([[1, 1], [1, 1]]), trials=50, p=7)
+        assert calls == [7]
+        assert result == RankResult(
+            1,
+            mode="generic",
+            certainty="probabilistic",
+            prime=7,
+            trials=50,
+            failure_bound=float(Fraction(2, 7) ** 50),
+        )
+
 
 class TestDispatch:
     def test_fast_certifies_full_rank(self):

@@ -155,6 +155,16 @@ class TestParseState:
                 "term 1: ket digit 0.7 for party 1 is not an integer",
             ),
             ('{"dims": [2, 2]}', "JSON state needs 'dims' and 'terms' keys"),
+            (
+                '{"dims": [2, 2], "terms": [{"coeff": true, "ket": [0, 0]}]}',
+                "term 0: cannot interpret True as an amplitude",
+            ),
+            # the first faulty term is reported, whatever its fault
+            (
+                '{"dims": [2, 2], "terms": [\n  {"coeff": "1", "ket": [0, 2]},\n'
+                '  {"coeff": 1.5, "ket": [0, 0]}\n]}',
+                "term 0: ket digit 2 out of range for party 2 (dimension 2)",
+            ),
             ("", "empty document: missing dims declaration"),
             # a fault in one term names the term, counted from 0
             (
@@ -174,7 +184,8 @@ class TestParseState:
             ("dims 2 2\n+1 |02>\n+1 |0x>\n", "line 3, column 1: malformed ket |0x>"),
         ],
         ids=[
-            "ket-not-a-list", "float-digit", "missing-key", "empty", "out-of-range",
+            "ket-not-a-list", "float-digit", "missing-key", "bool-coeff",
+            "json-two-faults", "empty", "out-of-range",
             "wrong-length", "parametric-merge", "bad-json", "bad-line", "two-faults",
         ],
     )
@@ -251,10 +262,15 @@ class TestBuildState:
             ((0, 0), (1, 2, 3)),
             ((0, 0), "1/0"),
             ((0, 0), "x y"),
+            ((0, 0), True),
+            ((0, 0), (1.5, 0)),
+            ((0, 0), (1, True)),
+            ((0, 0), ("1/2", 0)),
         ],
         ids=[
             "int-ket", "float-coeff", "none-coeff", "triple-coeff",
-            "zero-denominator", "two-words",
+            "zero-denominator", "two-words", "bool-coeff", "float-in-pair",
+            "bool-in-pair", "string-in-pair",
         ],
     )
     def test_unreadable_term_is_invalid_state(self, term):
@@ -330,13 +346,16 @@ class TestApplyLocalOperation:
 
     def test_swap_on_third_site_of_w(self):
         out = apply_local_operation(w3(), 3, [[0, 1], [1, 0]])
-        assert set(out.terms) == {(0, 0, 0), (0, 1, 1), (1, 0, 1)}
-        assert all(v == gauss(1) for v in out.terms.values())
+        assert list(out.terms.items()) == [
+            ((0, 0, 0), gauss(1)), ((0, 1, 1), gauss(1)), ((1, 0, 1), gauss(1)),
+        ]
 
     def test_shear_keeps_single_party_rank(self):
         state = build_state((2, 2), [((0, 0), 1), ((1, 1), 1)])
         out = apply_local_operation(state, 1, [[1, 0], [1, 1]])
-        assert out.terms == {(0, 0): gauss(1), (1, 0): gauss(1), (1, 1): gauss(1)}
+        assert list(out.terms.items()) == [
+            ((0, 0), gauss(1)), ((1, 0), gauss(1)), ((1, 1), gauss(1)),
+        ]
         bp = enumerate_bipartitions(out.dims, 1)[0]
         assert exact_rank(flatten(out, bp)).value == 2
 
@@ -356,8 +375,13 @@ class TestApplyLocalOperation:
             (1, [[1.5, 0], [0, 1]]),
             (1, [5, [0, 1]]),
             (1, [["a", 0], [0, 1]]),
+            (1, ["10", "01"]),
+            (1, [[True, 0], [0, 1]]),
         ],
-        ids=["bool-site", "float-site", "float-entry", "int-row", "parameter-entry"],
+        ids=[
+            "bool-site", "float-site", "float-entry", "int-row", "parameter-entry",
+            "string-rows", "bool-entry",
+        ],
     )
     def test_malformed_operation_is_invalid_state(self, site, matrix):
         with pytest.raises(InvalidStateError):
