@@ -30,8 +30,14 @@ from .errors import (
     ZeroStateError,
 )
 from .flatten import dense_string_rows, flatten
-from .partition import Bipartition
-from .profile import DEFAULT_SEED, MultirankProfile, multirank_profile, profile_level
+from .partition import Bipartition, all_levels, enumerate_bipartitions
+from .profile import (
+    DEFAULT_SEED,
+    LevelEntries,
+    MultirankProfile,
+    multirank_profile,
+    profile_level,
+)
 from .rank import RankPolicy, RankResult, parse_policy
 from .state import StateTensor, parse_state
 
@@ -187,20 +193,18 @@ def format_rank_lists(rank_lists: list[list[int]]) -> str:
     return "{" + ", ".join(inner) + "}"
 
 
-def _dedupe_levels(profile: MultirankProfile):
+def _dedupe_levels(levels: tuple[LevelEntries, ...], n: int) -> tuple[LevelEntries, ...]:
     """Keep one member of each complementary pair at level n/2.
 
     The kept representative is the one containing party 1, which is also
     the lexicographically first of the pair.
     """
-    n = profile.dims.n
-    out = []
-    for level_entries in profile.levels:
-        if level_entries and 2 * level_entries[0][0].level == n:
-            out.append(tuple(e for e in level_entries if 1 in e[0].parties))
-        else:
-            out.append(level_entries)
-    return tuple(out)
+    return tuple(
+        tuple(e for e in entries if 1 in e[0].parties)
+        if entries and 2 * entries[0][0].level == n
+        else entries
+        for entries in levels
+    )
 
 
 def _verdict_text(v: EntanglementVerdict, generic: bool) -> str:
@@ -215,7 +219,9 @@ def _verdict_text(v: EntanglementVerdict, generic: bool) -> str:
 
 
 def _full_report(profile: MultirankProfile, config: RunConfig) -> str:
-    levels = _dedupe_levels(profile) if config.dedupe else profile.levels
+    levels = profile.levels
+    if config.dedupe:
+        levels = _dedupe_levels(levels, profile.dims.n)
     rank_lists = [[r.value for _, r in level] for level in levels]
     v = verdict(profile)
     generic = profile.policy.kind == "generic"
@@ -246,7 +252,9 @@ def _full_report(profile: MultirankProfile, config: RunConfig) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _level_report(state: StateTensor, entries, config: RunConfig) -> str:
+def _level_report(state: StateTensor, entries: LevelEntries, config: RunConfig) -> str:
+    if config.dedupe:
+        (entries,) = _dedupe_levels((entries,), state.dims.n)
     values = [r.value for _, r in entries]
     if config.output_format == "text":
         return "{" + ", ".join(str(x) for x in values) + "}"
@@ -282,8 +290,6 @@ def _entry_doc(bp: Bipartition, result: RankResult) -> dict:
 
 
 def _dump_matrices(state: StateTensor, single_level: Optional[int], file) -> None:
-    from .partition import all_levels, enumerate_bipartitions
-
     if single_level is None:
         groups = all_levels(state.dims)
     else:

@@ -12,7 +12,6 @@ the dense tensor is never materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import InvalidStateError
 from .gaussian import Amplitude
@@ -22,15 +21,11 @@ from .state import MultiIndex, QuditDims, StateTensor
 
 @dataclass(frozen=True)
 class FlattenedMatrix:
-    """Sparse ``rows x cols`` matrix holding the surviving amplitudes.
-
-    ``bipartition`` is None for synthetic matrices (tests, transposes).
-    """
+    """Sparse ``rows x cols`` matrix holding the surviving amplitudes."""
 
     rows: int
     cols: int
     entries: dict[tuple[int, int], Amplitude]
-    bipartition: Optional[Bipartition] = None
 
 
 def row_col_of(
@@ -54,10 +49,7 @@ def flatten(state: StateTensor, bipartition: Bipartition) -> FlattenedMatrix:
         for index, amp in state.terms.items()
     }
     return FlattenedMatrix(
-        rows=bipartition.dim_rows,
-        cols=bipartition.dim_cols,
-        entries=entries,
-        bipartition=bipartition,
+        rows=bipartition.dim_rows, cols=bipartition.dim_cols, entries=entries
     )
 
 

@@ -2,12 +2,11 @@
 
 Levels run from 1 to floor(n/2); inside a level the bipartitions keep
 their lexicographic order, so the flat list of values lines up with the
-printed output position by position.  Under the exact and fast
-policies a rank depends on its matrix alone.  Under the generic policy
-each matrix gets its own random stream derived from the master seed and
-its position, so results never depend on evaluation order (flattenings
-are pure functions of immutable inputs and could be computed
-concurrently).
+printed output position by position.  Every matrix is ranked with the
+master seed, so a rank depends on its matrix and the seed alone, never
+on where the matrix sits: under the generic policy the flattenings of
+one state share one automatic prime and one random point per trial, and
+a cut and its complement, transposes of each other, get the same rank.
 """
 
 from __future__ import annotations
@@ -37,21 +36,11 @@ class MultirankProfile:
         return [[result.value for _, result in level] for level in self.levels]
 
 
-def _matrix_seed(seed: int, level: int, position: int) -> str:
-    # string seeds hash deterministically across processes, unlike objects
-    return f"{seed}:{level}:{position}"
-
-
 def _rank_level(
-    state: StateTensor,
-    bipartitions: list[Bipartition],
-    level: int,
-    policy: RankPolicy,
-    seed: int,
+    state: StateTensor, bipartitions: list[Bipartition], policy: RankPolicy, seed: int
 ) -> LevelEntries:
     return tuple(
-        (bp, rank_dispatch(flatten(state, bp), policy, seed=_matrix_seed(seed, level, k)))
-        for k, bp in enumerate(bipartitions)
+        (bp, rank_dispatch(flatten(state, bp), policy, seed)) for bp in bipartitions
     )
 
 
@@ -62,8 +51,7 @@ def multirank_profile(
 ) -> MultirankProfile:
     """Rank every flattening of the state under the given policy."""
     levels = tuple(
-        _rank_level(state, bps, level, policy, seed)
-        for level, bps in enumerate(all_levels(state.dims), start=1)
+        _rank_level(state, bps, policy, seed) for bps in all_levels(state.dims)
     )
     return MultirankProfile(dims=state.dims, levels=levels, policy=policy, seed=seed)
 
@@ -75,5 +63,4 @@ def profile_level(
     seed: int = DEFAULT_SEED,
 ) -> LevelEntries:
     """One level of the profile; identical to the same slice of the full run."""
-    bipartitions = enumerate_bipartitions(state.dims, level)
-    return _rank_level(state, bipartitions, level, policy, seed)
+    return _rank_level(state, enumerate_bipartitions(state.dims, level), policy, seed)

@@ -203,7 +203,8 @@ def _parse_ket(body: str, dims: QuditDims, line: int, col: int) -> MultiIndex:
             line,
             col,
         )
-    if not body.isdigit():
+    if not body.isdecimal():
+        # isdigit() would also pass superscripts such as "²", which int() refuses
         raise StateSyntaxError(f"malformed ket |{body}>", line, col)
     return tuple(int(ch) for ch in body)
 
@@ -234,6 +235,10 @@ def _parse_json(text: str) -> StateTensor:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise StateSyntaxError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
+    except ValueError as exc:  # an integer longer than int()'s digit limit
+        raise StateSyntaxError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise StateSyntaxError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict) or "dims" not in doc or "terms" not in doc:
         raise StateSyntaxError("JSON state needs 'dims' and 'terms' keys")
     dims = QuditDims(tuple(_json_list(doc["dims"], "'dims'")))

@@ -92,7 +92,7 @@ def matrix_from_dense(rows) -> FlattenedMatrix:
 
 
 def transposed(matrix: FlattenedMatrix) -> FlattenedMatrix:
-    """Swap rows and columns; the result carries no bipartition."""
+    """Swap rows and columns."""
     return FlattenedMatrix(
         rows=matrix.cols,
         cols=matrix.rows,

@@ -108,6 +108,26 @@ def test_dedupe_json_keeps_pairing_info():
     ]
 
 
+def test_dedupe_applies_to_a_single_level():
+    result = run_cli(str(STATES / "cluster4.state"), "--levels", "2", "--dedupe")
+    assert result.returncode == 0
+    assert result.stdout == "{2, 4, 4}\n"
+
+
+def test_dedupe_single_level_json_filters_ranks_and_profile(capsys):
+    from multirank.cli import main
+
+    path = str(STATES / "cluster4.state")
+    assert main([path, "--levels", "2", "--format", "json"]) == 0
+    full = json.loads(capsys.readouterr().out)
+    assert main([path, "--levels", "2", "--format", "json", "--dedupe"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    kept = [e for e in full["ranks"] if 1 in e["parties"]]
+    assert [e["parties"] for e in kept] == [[1, 2], [1, 3], [1, 4]]
+    assert doc == {**full, "ranks": kept, "profile": [[2, 4, 4]]}
+    assert list(doc) == list(full)
+
+
 def test_dump_matrices_goes_to_stderr():
     result = run_cli(str(STATES / "w3.state"), "--dump-matrices")
     assert result.stdout == "{{2, 2, 2}}\nverdict: GME\n"
@@ -305,6 +325,10 @@ def test_json_input_document(tmp_path):
         ("[2, 2]", "[0, 0]", "true"),
         ("[2, 2]", "[0, 0]", "0.5"),
         ("[2, 2]", "[0, 0]", "null"),
+        # past int()'s digit limit, and past the decoder's recursion limit
+        pytest.param("[2, 2]", "[0, 0]", "7" * 5000, id="5000-digit-coeff"),
+        pytest.param(f"[2, {'2' * 5000}]", "[0, 0]", '"1"', id="5000-digit-dim"),
+        pytest.param("[" * 100_000 + "]" * 100_000, "[0, 0]", '"1"', id="nested-100000-deep"),
     ],
 )
 def test_malformed_json_document_is_exit_2(tmp_path, capsys, dims, ket, coeff):
@@ -316,6 +340,15 @@ def test_malformed_json_document_is_exit_2(tmp_path, capsys, dims, ket, coeff):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == "" and captured.err.startswith("multirank: ")
+
+
+def test_superscript_ket_digit_is_exit_2(tmp_path):
+    doc = tmp_path / "superscript.state"
+    doc.write_text("dims 2 2\n+1 |0\u00b2>\n", encoding="utf-8")
+    result = run_cli(str(doc))
+    assert result.returncode == 2
+    assert "malformed ket" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize(

@@ -12,15 +12,32 @@ from multirank import (
     flatten,
     multirank_profile,
     profile_level,
+    rank_dispatch,
 )
 from helpers import (
     REFERENCE_PROFILES,
     compressed_dense,
     matrix_from_dense,
     oracle_rank_minors,
+    rand_gauss_int,
     rand_state,
     transposed,
 )
+
+
+def rand_parametric_qubits(rng: random.Random, n: int):
+    """A random n-qubit state whose terms mix parameters a, b, c and integers."""
+    kets = rng.sample(range(2**n), rng.randint(2, min(8, 2**n)))
+    return build_state(
+        (2,) * n,
+        [
+            (
+                tuple(int(bit) for bit in format(x, f"0{n}b")),
+                rng.choice(["a", "b", "c", rand_gauss_int(rng)]),
+            )
+            for x in kets
+        ],
+    )
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_PROFILES))
@@ -123,3 +140,38 @@ def test_deterministic_across_runs():
     primes_a = [r.prime for lvl in first.levels for _, r in lvl]
     primes_b = [r.prime for lvl in second.levels for _, r in lvl]
     assert primes_a == primes_b
+
+
+def test_generic_twins_agree_at_half_level():
+    # one trial mod 3 fails often; a cut and its complement must fail alike
+    rng = random.Random(23)
+    states = [
+        build_state(
+            (2, 2, 2, 2), [((0, 0, 0, 1), "a"), ((0, 1, 1, 0), "a"), ((0, 1, 1, 1), "b")]
+        )
+    ]
+    states += [rand_parametric_qubits(rng, n) for n in (4, 6) for _ in range(15)]
+    policy = RankPolicy.generic(trials=1, prime=3)
+    for state in states:
+        for seed in range(5):
+            entries = profile_level(state, state.dims.n // 2, policy, seed)
+            by_parties = {bp.parties: r.value for bp, r in entries}
+            for bp, r in entries:
+                assert by_parties[bp.complement] == r.value, (state, seed, bp)
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [RankPolicy.generic(), RankPolicy.generic(trials=1, prime=3)],
+    ids=["auto-prime", "one-trial-mod-3"],
+)
+def test_generic_entry_depends_on_matrix_and_seed_alone(policy):
+    rng = random.Random(31)
+    states = [rand_parametric_qubits(rng, n) for n in (3, 4, 5) for _ in range(8)]
+    for state in states:
+        for seed in (0, 1729):
+            profile = multirank_profile(state, policy, seed)
+            for level, entries in enumerate(profile.levels, start=1):
+                assert profile_level(state, level, policy, seed) == entries
+                for bp, result in entries:
+                    assert result == rank_dispatch(flatten(state, bp), policy, seed)
