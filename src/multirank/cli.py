@@ -8,9 +8,10 @@ prints the profile as nested brace lists, e.g.::
     {{2, 2, 2, 2}, {2, 4, 4, 4, 4, 2}}
     verdict: GME
 
-Exit codes: 0 success, 2 unreadable/unparseable input, 3 zero state,
-4 rank policy incompatible with the state.  Runs are reproducible: the
-seed defaults to a fixed value and all randomness derives from it.
+Exit codes: 0 success, 2 a bad flag or unreadable input, otherwise the
+``exit_code`` of the :class:`~multirank.errors.MultirankError` raised
+(see :mod:`multirank.errors`).  Runs are reproducible: the seed
+defaults to a fixed value and all randomness derives from it.
 """
 
 from __future__ import annotations
@@ -18,17 +19,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .classify import EntanglementVerdict, verdict
-from .errors import (
-    InvalidStateError,
-    PolicyMismatchError,
-    PrimeClashError,
-    StateSyntaxError,
-    ZeroStateError,
-)
+from .errors import MultirankError
 from .flatten import dense_string_rows, flatten
 from .partition import Bipartition, all_levels, enumerate_bipartitions
 from .profile import (
@@ -40,19 +34,6 @@ from .profile import (
 )
 from .rank import RankPolicy, RankResult, parse_policy
 from .state import StateTensor, parse_state
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs; defaults make runs reproducible."""
-
-    input_path: str
-    levels: Optional[int] = None  # None means all levels
-    policy: RankPolicy = RankPolicy.fast()
-    seed: int = DEFAULT_SEED
-    output_format: str = "text"  # "text" | "json"
-    dedupe: bool = False
-    dump_matrices: bool = False
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,86 +82,60 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one invocation; returns the process exit code."""
     args = build_parser().parse_args(argv)
     try:
         policy = parse_policy(args.rank)
     except ValueError as exc:
-        print(f"multirank: {exc}", file=sys.stderr)
-        return 2
+        return _fail(str(exc))
     try:
-        levels = None if args.levels == "all" else int(args.levels)
+        level = None if args.levels == "all" else int(args.levels)
     except ValueError:
-        print(
-            f"multirank: --levels must be 'all' or a level between 1 and "
-            f"floor(n/2), got {args.levels!r}",
-            file=sys.stderr,
+        return _fail(
+            f"--levels must be 'all' or a level between 1 and "
+            f"floor(n/2), got {args.levels!r}"
         )
-        return 2
     if not 0 <= args.seed < 2**64:
-        print("multirank: seed must fit in 64 bits", file=sys.stderr)
-        return 2
-    config = RunConfig(
-        input_path=args.input,
-        levels=levels,
-        policy=policy,
-        seed=args.seed,
-        output_format="json" if args.format == "structured" else args.format,
-        dedupe=args.dedupe,
-        dump_matrices=args.dump_matrices,
-    )
-    return run(config)
-
-
-def run(config: RunConfig) -> int:
-    """Execute one configured run; returns the process exit code."""
+        return _fail("seed must fit in 64 bits")
     try:
-        with open(config.input_path, "r", encoding="utf-8-sig") as handle:
+        with open(args.input, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
-        print(f"multirank: cannot read input: {exc}", file=sys.stderr)
-        return 2
-
+        return _fail(f"cannot read input: {exc}")
     try:
         state = parse_state(text)
-    except (StateSyntaxError, InvalidStateError) as exc:
-        print(f"multirank: {config.input_path}: {exc}", file=sys.stderr)
-        return 2
-    except ZeroStateError as exc:
-        print(f"multirank: {config.input_path}: {exc}", file=sys.stderr)
-        return 3
+    except MultirankError as exc:
+        return _fail(f"{args.input}: {exc}", exc.exit_code)
 
-    if config.policy.kind == "generic" and not state.has_parameters:
+    if policy.kind == "generic" and not state.has_parameters:
         print(
             "multirank: warning: generic policy on a state with no parameters",
             file=sys.stderr,
         )
+    if level is not None and not 1 <= level <= state.dims.n // 2:
+        return _fail(f"level must be between 1 and {state.dims.n // 2}")
+    if args.dump_matrices:
+        _dump_matrices(state, level, file=sys.stderr)
 
-    if config.levels is not None and not 1 <= config.levels <= state.dims.n // 2:
-        print(
-            f"multirank: level must be between 1 and {state.dims.n // 2}",
-            file=sys.stderr,
-        )
-        return 2
-
-    if config.dump_matrices:
-        _dump_matrices(state, config.levels, file=sys.stderr)
-
+    as_json = args.format != "text"
     try:
-        if config.levels is None:
-            profile = multirank_profile(state, config.policy, config.seed)
-            report = _full_report(profile, config)
+        if level is None:
+            profile = multirank_profile(state, policy, args.seed)
+            report = _full_report(profile, args.dedupe, as_json)
         else:
-            entries = profile_level(state, config.levels, config.policy, config.seed)
-            report = _level_report(state, entries, config)
-    except PolicyMismatchError as exc:
-        print(f"multirank: {exc}", file=sys.stderr)
-        return 4
-    except PrimeClashError as exc:
-        print(f"multirank: {exc}", file=sys.stderr)
-        return 2
-
+            entries = profile_level(state, level, policy, args.seed)
+            report = _level_report(
+                state, level, entries, policy, args.seed, args.dedupe, as_json
+            )
+    except MultirankError as exc:
+        return _fail(str(exc), exc.exit_code)
     print(report)
     return 0
+
+
+def _fail(message: str, code: int = 2) -> int:
+    print(f"multirank: {message}", file=sys.stderr)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +156,7 @@ def _dedupe_levels(levels: tuple[LevelEntries, ...], n: int) -> tuple[LevelEntri
     """
     return tuple(
         tuple(e for e in entries if 1 in e[0].parties)
-        if entries and 2 * entries[0][0].level == n
+        if 2 * entries[0][0].level == n
         else entries
         for entries in levels
     )
@@ -218,25 +173,23 @@ def _verdict_text(v: EntanglementVerdict, generic: bool) -> str:
     return text + (" (generic)" if generic else "")
 
 
-def _full_report(profile: MultirankProfile, config: RunConfig) -> str:
+def _full_report(profile: MultirankProfile, dedupe: bool, as_json: bool) -> str:
     levels = profile.levels
-    if config.dedupe:
+    if dedupe:
         levels = _dedupe_levels(levels, profile.dims.n)
     rank_lists = [[r.value for _, r in level] for level in levels]
     v = verdict(profile)
     generic = profile.policy.kind == "generic"
-    if config.output_format == "text":
-        return (
-            format_rank_lists(rank_lists) + "\nverdict: " + _verdict_text(v, generic)
-        )
+    if not as_json:
+        return format_rank_lists(rank_lists) + "\nverdict: " + _verdict_text(v, generic)
     doc = {
         "dims": list(profile.dims.dims),
         "policy": profile.policy.label(),
         "seed": profile.seed,
-        "dedupe": config.dedupe,
+        "dedupe": dedupe,
         "levels": [
             {
-                "level": level_entries[0][0].level if level_entries else 0,
+                "level": level_entries[0][0].level,
                 "ranks": [_entry_doc(bp, r) for bp, r in level_entries],
             }
             for level_entries in levels
@@ -252,17 +205,20 @@ def _full_report(profile: MultirankProfile, config: RunConfig) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _level_report(state: StateTensor, entries: LevelEntries, config: RunConfig) -> str:
-    if config.dedupe:
+def _level_report(
+    state: StateTensor, level: int, entries: LevelEntries,
+    policy: RankPolicy, seed: int, dedupe: bool, as_json: bool,
+) -> str:
+    if dedupe:
         (entries,) = _dedupe_levels((entries,), state.dims.n)
     values = [r.value for _, r in entries]
-    if config.output_format == "text":
+    if not as_json:
         return "{" + ", ".join(str(x) for x in values) + "}"
     doc = {
         "dims": list(state.dims.dims),
-        "policy": config.policy.label(),
-        "seed": config.seed,
-        "level": config.levels,
+        "policy": policy.label(),
+        "seed": seed,
+        "level": level,
         "ranks": [_entry_doc(bp, r) for bp, r in entries],
         "profile": [values],
     }

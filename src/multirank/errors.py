@@ -1,13 +1,16 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: parse/validation failures exit 2,
-a state whose terms all cancel exits 3, and a rank-policy/state
-mismatch (parametric amplitudes under a non-generic policy) exits 4.
+Each class carries the CLI's exit code for it in ``exit_code``:
+parse/validation failures exit 2, a state whose terms all cancel exits
+3, and a rank-policy/state mismatch (parametric amplitudes under a
+non-generic policy) exits 4.
 """
 
 
 class MultirankError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class StateSyntaxError(MultirankError):
@@ -38,18 +41,22 @@ class InvalidStateError(MultirankError):
 class ZeroStateError(MultirankError):
     """Every term cancelled; the zero state has no rank profile."""
 
+    exit_code = 3
+
 
 class PolicyMismatchError(MultirankError):
     """The requested rank policy cannot handle the given matrix.
 
     Raised when a matrix with parametric entries is pushed through the
-    exact, fast-then-verify, or modular-only policies.
+    exact, fast or modular policies; only generic substitutes values.
     """
+
+    exit_code = 4
 
 
 class PrimeClashError(MultirankError):
     """The chosen prime divides a denominator of the matrix.
 
-    Callers holding a prime table should resample; callers that passed
-    an explicit prime see this propagated.
+    Only an explicit prime raises this, such as the one in ``mod:<p>`` or
+    ``generic:<t>,<p>``: the automatic prime search skips such primes.
     """

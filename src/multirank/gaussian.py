@@ -17,6 +17,7 @@ package, and coerces none.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -80,19 +81,39 @@ def _format_rational(x: Fraction) -> str:
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
+# Every integer in the text grammars is ASCII digits alone: int(),
+# str.isdecimal() and \d would also take a sign, "_" or another
+# script's digits, and read "1_2" as 12.
+NATURAL_RE = re.compile(r"[0-9]+")
+
+_RATIONAL = rf"{NATURAL_RE.pattern}(?:/{NATURAL_RE.pattern})?"
 # One or two signed terms; the optional second term must be imaginary.
 _GAUSSIAN_RE = re.compile(
-    r"(?P<sign1>[+-]?)(?P<term1>(?:\d+(?:/\d+)?)?i|\d+(?:/\d+)?)"
-    r"(?:(?P<sign2>[+-])(?P<term2>(?:\d+(?:/\d+)?)?i))?\Z"
+    rf"(?P<sign1>[+-]?)(?P<term1>(?:{_RATIONAL})?i|{_RATIONAL})"
+    rf"(?:(?P<sign2>[+-])(?P<term2>(?:{_RATIONAL})?i))?\Z"
 )
 
 
+def parse_natural(text: str, what: str) -> int | None:
+    """The value of ``text`` if it matches :data:`NATURAL_RE`, else None.
+
+    Raises ``ValueError`` naming ``what``, not echoing the number, when
+    it is longer than ``int()`` converts.
+    """
+    if NATURAL_RE.fullmatch(text) is None:
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"{what} has more than {limit} digits") from None
+
+
 def _term_value(body: str) -> Fraction:
-    if body == "i":
-        return Fraction(1)
-    if body.endswith("i"):
-        body = body[:-1]
-    return Fraction(body)
+    num, _, den = body.removesuffix("i").partition("/")
+    return Fraction(
+        parse_natural(num or "1", "coefficient"), parse_natural(den or "1", "coefficient")
+    )
 
 
 def parse_coefficient(text: str) -> Amplitude:

@@ -32,11 +32,20 @@ an empty result is rejected (the zero state has no meaningful profile).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InvalidStateError, StateSyntaxError, ZeroStateError
-from .gaussian import Amplitude, Parameter, _is_int, as_amplitude, parse_coefficient
+from .gaussian import (
+    NATURAL_RE,
+    Amplitude,
+    Parameter,
+    _is_int,
+    as_amplitude,
+    parse_coefficient,
+    parse_natural,
+)
 
 MultiIndex = tuple[int, ...]
 
@@ -181,10 +190,12 @@ def _parse_dims_statement(stmt: str, line: int, col: int) -> QuditDims:
     if len(tokens) < 3:
         raise StateSyntaxError("dims needs at least two dimensions", line, col)
     try:
-        values = [int(t) for t in tokens[1:]]
-    except ValueError:
-        raise StateSyntaxError(f"non-integer dimension in {stmt!r}", line, col) from None
-    return QuditDims(tuple(values))
+        values = tuple(parse_natural(t, "dimension") for t in tokens[1:])
+    except ValueError as exc:
+        raise StateSyntaxError(str(exc), line, col) from None
+    if None in values:
+        raise StateSyntaxError(f"non-integer dimension in {stmt!r}", line, col)
+    return QuditDims(values)
 
 
 def _parse_ket(body: str, dims: QuditDims, line: int, col: int) -> MultiIndex:
@@ -193,9 +204,12 @@ def _parse_ket(body: str, dims: QuditDims, line: int, col: int) -> MultiIndex:
         raise StateSyntaxError("empty ket", line, col)
     if "," in body:
         try:
-            return tuple(int(p) for p in body.split(","))
-        except ValueError:
-            raise StateSyntaxError(f"malformed ket |{body}>", line, col) from None
+            index = tuple(parse_natural(p.strip(), "ket index") for p in body.split(","))
+        except ValueError as exc:
+            raise StateSyntaxError(str(exc), line, col) from None
+        if None in index:
+            raise StateSyntaxError(f"malformed ket |{body}>", line, col)
+        return index
     if any(d > 10 for d in dims.dims):
         raise StateSyntaxError(
             "digit-string kets require all dimensions <= 10; "
@@ -203,8 +217,7 @@ def _parse_ket(body: str, dims: QuditDims, line: int, col: int) -> MultiIndex:
             line,
             col,
         )
-    if not body.isdecimal():
-        # isdigit() would also pass superscripts such as "²", which int() refuses
+    if NATURAL_RE.fullmatch(body) is None:
         raise StateSyntaxError(f"malformed ket |{body}>", line, col)
     return tuple(int(ch) for ch in body)
 
@@ -235,8 +248,9 @@ def _parse_json(text: str) -> StateTensor:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise StateSyntaxError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
-    except ValueError as exc:  # an integer longer than int()'s digit limit
-        raise StateSyntaxError(f"invalid JSON: {exc}") from None
+    except ValueError:  # an integer longer than int() converts
+        limit = sys.get_int_max_str_digits()
+        raise StateSyntaxError(f"invalid JSON: an integer has more than {limit} digits") from None
     except RecursionError:
         raise StateSyntaxError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict) or "dims" not in doc or "terms" not in doc:

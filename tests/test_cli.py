@@ -488,3 +488,65 @@ def test_fully_product_verdict_text(tmp_path):
     doc.write_text("dims 2 2\n+1 |01>\n")
     result = run_cli(str(doc))
     assert "fully product" in result.stdout
+
+
+W3 = str(STATES / "w3.state")
+
+
+@pytest.mark.parametrize(
+    "text,flags,code,err",
+    [
+        (None, [W3, "--rank", "bogus"], 2, "unknown rank policy 'bogus'"),
+        (
+            None,
+            [W3, "--levels", "x"],
+            2,
+            "--levels must be 'all' or a level between 1 and floor(n/2), got 'x'",
+        ),
+        (None, [W3, "--seed", "-1"], 2, "seed must fit in 64 bits"),
+        (
+            None,
+            ["{path}"],
+            2,
+            "cannot read input: [Errno 2] No such file or directory: '{path}'",
+        ),
+        ("dims 2 2\n+1 |00\n", ["{path}"], 2, "{path}: line 2, column 1: expected '<coeff> |<ket>>'"),
+        (
+            "dims 2 2\n+1 |02>\n",
+            ["{path}"],
+            2,
+            "{path}: term 0: ket digit 2 out of range for party 2 (dimension 2)",
+        ),
+        (
+            "dims 2 2\n+1 |00>\n-1 |00>\n",
+            ["{path}"],
+            3,
+            "{path}: all terms cancel: the zero state is not admissible",
+        ),
+        (None, [str(STATES / "cluster4.state"), "--levels", "3"], 2, "level must be between 1 and 2"),
+        (
+            None,
+            [str(STATES / "param_ghz3.state")],
+            4,
+            "matrix has parametric entries; use the generic policy",
+        ),
+        ("dims 2 2\n1/7 |00>\n1 |11>\n", ["{path}", "--rank", "mod:7"], 2, "prime 7 divides a denominator"),
+        (None, [W3, "--rank", "generic"], 0, "warning: generic policy on a state with no parameters"),
+    ],
+    ids=[
+        "bad-rank", "bad-levels", "negative-seed", "unreadable", "syntax", "invalid",
+        "zero-state", "level-out-of-range", "parametric-under-fast", "prime-clash",
+        "generic-warning",
+    ],
+)
+def test_every_failure_path_pins_stderr_and_exit_code(tmp_path, capsys, text, flags, code, err):
+    from multirank.cli import main
+
+    path = tmp_path / "input.state"
+    if text is not None:
+        path.write_text(text)
+    argv = [flag.format(path=path) for flag in flags]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"multirank: {err.format(path=path)}\n"
+    assert captured.out == ("{{2, 2, 2}}\nverdict: GME (generic)\n" if code == 0 else "")

@@ -123,6 +123,58 @@ class TestParseState:
             parse_state("dims 2 2\n+1 |00\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("dims 2 1_2\n+1 |0,0>", "line 1, column 1: non-integer dimension in 'dims 2 1_2'"),
+            ("dims 2 +2\n+1 |00>", "line 1, column 1: non-integer dimension in 'dims 2 +2'"),
+            ("dims 2 ２\n+1 |00>", "line 1, column 1: non-integer dimension in 'dims 2 ２'"),
+            ("dims 2 2\n+1 |1,+0>", "line 2, column 1: malformed ket |1,+0>"),
+            ("dims 12 2\n+1 |1_1,0>", "line 2, column 1: malformed ket |1_1,0>"),
+            ("dims 2 2\n+1 |０1>", "line 2, column 1: malformed ket |０1>"),
+            ("dims 2 2\n+1 |０,1>", "line 2, column 1: malformed ket |０,1>"),
+            ("dims 2 2\n٣ |00>", "line 2, column 1: malformed coefficient '٣ '"),
+            ("dims 2 2\n1/٣i |00>", "line 2, column 1: malformed coefficient '1/٣i '"),
+            (
+                '{"dims": [2, 2], "terms": [{"coeff": "٣", "ket": [0, 0]}]}',
+                "term 0: malformed coefficient '٣'",
+            ),
+        ],
+        ids=[
+            "dim-underscore", "dim-plus", "dim-fullwidth", "ket-plus", "ket-underscore",
+            "ket-fullwidth", "comma-ket-fullwidth", "coeff-arabic-indic",
+            "denominator-arabic-indic", "json-coeff-arabic-indic",
+        ],
+    )
+    def test_integers_are_ascii_digits_alone(self, text, message):
+        # int(), str.isdecimal() and \d read each of these as a number
+        with pytest.raises((StateSyntaxError, InvalidStateError)) as err:
+            parse_state(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (f"dims 2 {'2' * 5000}\n+1 |0,0>", "line 1, column 1: dimension has more than 4300 digits"),
+            (f"dims 2 2\n{'7' * 5000} |00>", "line 2, column 1: coefficient has more than 4300 digits"),
+            (f"dims 2 2\n1/{'7' * 5000}i |00>", "line 2, column 1: coefficient has more than 4300 digits"),
+            (f"dims 2 2\n+1 |0,{'0' * 5000}>", "line 2, column 1: ket index has more than 4300 digits"),
+            (
+                f'{{"dims": [2, 2], "terms": [{{"coeff": "{"7" * 5000}", "ket": [0, 0]}}]}}',
+                "term 0: coefficient has more than 4300 digits",
+            ),
+            (
+                f'{{"dims": [2, 2], "terms": [{{"coeff": {"7" * 5000}, "ket": [0, 0]}}]}}',
+                "invalid JSON: an integer has more than 4300 digits",
+            ),
+        ],
+        ids=["dim", "coeff", "denominator", "ket-index", "json-coeff-string", "json-coeff-int"],
+    )
+    def test_numbers_past_the_digit_limit_are_named_not_echoed(self, text, message):
+        with pytest.raises((StateSyntaxError, InvalidStateError)) as err:
+            parse_state(text)
+        assert str(err.value) == message
+
     def test_json_document(self):
         text = '{"dims": [2, 2, 2], "terms": [{"coeff": "+1", "ket": [0, 0, 1]}, {"coeff": "1/2", "ket": [1, 0, 0]}]}'
         state = parse_state(text)
