@@ -24,6 +24,7 @@ from typing import Optional
 from .classify import EntanglementVerdict, verdict
 from .errors import MultirankError
 from .flatten import dense_string_rows, flatten
+from .gaussian import parse_integer
 from .partition import Bipartition, all_levels, enumerate_bipartitions
 from .profile import (
     DEFAULT_SEED,
@@ -58,8 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--seed",
-        type=int,
-        default=DEFAULT_SEED,
+        default=str(DEFAULT_SEED),
         help=f"master seed for all randomized choices (default: {DEFAULT_SEED})",
     )
     parser.add_argument(
@@ -86,16 +86,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         policy = parse_policy(args.rank)
+        level = None if args.levels == "all" else parse_integer(args.levels, "level")
+        seed = parse_integer(args.seed, "seed")
     except ValueError as exc:
         return _fail(str(exc))
-    try:
-        level = None if args.levels == "all" else int(args.levels)
-    except ValueError:
+    if level is None and args.levels != "all":
         return _fail(
             f"--levels must be 'all' or a level between 1 and "
             f"floor(n/2), got {args.levels!r}"
         )
-    if not 0 <= args.seed < 2**64:
+    if seed is None:
+        return _fail(f"--seed must be an integer, got {args.seed!r}")
+    if not 0 <= seed < 2**64:
         return _fail("seed must fit in 64 bits")
     try:
         with open(args.input, "r", encoding="utf-8-sig") as handle:
@@ -120,12 +122,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     as_json = args.format != "text"
     try:
         if level is None:
-            profile = multirank_profile(state, policy, args.seed)
+            profile = multirank_profile(state, policy, seed)
             report = _full_report(profile, args.dedupe, as_json)
         else:
-            entries = profile_level(state, level, policy, args.seed)
+            entries = profile_level(state, level, policy, seed)
             report = _level_report(
-                state, level, entries, policy, args.seed, args.dedupe, as_json
+                state, level, entries, policy, seed, args.dedupe, as_json
             )
     except MultirankError as exc:
         return _fail(str(exc), exc.exit_code)

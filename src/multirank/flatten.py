@@ -12,6 +12,7 @@ the dense tensor is never materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .errors import InvalidStateError
 from .gaussian import Amplitude
@@ -42,29 +43,26 @@ def row_col_of(
 
 
 def flatten(state: StateTensor, bipartition: Bipartition) -> FlattenedMatrix:
-    """Build the flattening of ``state`` induced by ``bipartition``."""
-    _check_consistent(state.dims, bipartition)
-    entries = {
-        row_col_of(index, bipartition, state.dims): amp
-        for index, amp in state.terms.items()
-    }
-    return FlattenedMatrix(
-        rows=bipartition.dim_rows, cols=bipartition.dim_cols, entries=entries
-    )
+    """Build the flattening of ``state`` induced by ``bipartition``.
 
-
-def _check_consistent(dims: QuditDims, bipartition: Bipartition) -> None:
+    The shape is the product of the state's local dimensions on each
+    side, so the bipartition only has to split the state's parties.
+    """
+    dims = state.dims
     labels = bipartition.parties + bipartition.complement
     if sorted(labels) != list(range(1, dims.n + 1)):
         raise InvalidStateError(
             f"bipartition {bipartition.parties}/{bipartition.complement} "
             f"does not partition parties 1..{dims.n}"
         )
-    dim_rows = 1
-    for j in bipartition.parties:
-        dim_rows *= dims.dims[j - 1]
-    if dim_rows != bipartition.dim_rows or dims.delta != dim_rows * bipartition.dim_cols:
-        raise InvalidStateError("bipartition dimensions disagree with the state dims")
+    entries = {
+        row_col_of(index, bipartition, dims): amp for index, amp in state.terms.items()
+    }
+    return FlattenedMatrix(
+        rows=prod(dims.dims[j - 1] for j in bipartition.parties),
+        cols=prod(dims.dims[j - 1] for j in bipartition.complement),
+        entries=entries,
+    )
 
 
 def dense_string_rows(matrix: FlattenedMatrix) -> list[list[str]]:

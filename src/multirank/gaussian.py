@@ -46,9 +46,6 @@ class GaussianRational:
             self.re * other.im + self.im * other.re,
         )
 
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -107,6 +104,12 @@ def parse_natural(text: str, what: str) -> int | None:
     except ValueError:
         limit = sys.get_int_max_str_digits()
         raise ValueError(f"{what} has more than {limit} digits") from None
+
+
+def parse_integer(text: str, what: str) -> int | None:
+    """:func:`parse_natural` after an optional ASCII ``-``."""
+    value = parse_natural(text.removeprefix("-"), what)
+    return -value if value is not None and text.startswith("-") else value
 
 
 def _term_value(body: str) -> Fraction:

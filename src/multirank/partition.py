@@ -1,11 +1,13 @@
 """Enumeration of the bipartitions that drive the rank profile.
 
-For ``n`` parties, every split (I, complement) with ``1 <= |I| <=
-floor(n/2)`` is visited; choosing the smaller side loses nothing because
-the two flattenings are transposes of each other.  Subsets are emitted
-in lexicographic order, which fixes the position of every rank in the
-printed profile.  When ``n`` is even, level ``n/2`` deliberately
-contains both members of each complementary pair.
+A bipartition is a set of parties and its complement; the shape of its
+flattening comes from the state it is applied to.  For ``n`` parties,
+every split (I, complement) with ``1 <= |I| <= floor(n/2)`` is visited;
+choosing the smaller side loses nothing because the two flattenings are
+transposes of each other.  Subsets are emitted in lexicographic order,
+which fixes the position of every rank in the printed profile.  When
+``n`` is even, level ``n/2`` deliberately contains both members of each
+complementary pair.
 """
 
 from __future__ import annotations
@@ -21,14 +23,12 @@ class Bipartition:
     """One split of the parties {1..n} into a row side and column side.
 
     ``parties`` is the strictly increasing tuple of 1-based labels on
-    the row side; ``complement`` is the rest.  ``dim_rows`` and
-    ``dim_cols`` are the products of the local dimensions on each side.
+    the row side; ``complement`` is the rest.  It holds no dimensions,
+    so it flattens any state with the same ``n``.
     """
 
     parties: tuple[int, ...]
     complement: tuple[int, ...]
-    dim_rows: int
-    dim_cols: int
 
     @property
     def level(self) -> int:
@@ -38,25 +38,17 @@ class Bipartition:
         return "I=[" + ",".join(str(j) for j in self.parties) + "]"
 
 
-def _make(dims: QuditDims, parties: tuple[int, ...]) -> Bipartition:
-    chosen = set(parties)
-    complement = tuple(j for j in range(1, dims.n + 1) if j not in chosen)
-    dim_rows = 1
-    for j in parties:
-        dim_rows *= dims.dims[j - 1]
-    dim_cols = 1
-    for j in complement:
-        dim_cols *= dims.dims[j - 1]
-    return Bipartition(parties, complement, dim_rows, dim_cols)
-
-
 def enumerate_bipartitions(dims: QuditDims, level: int) -> list[Bipartition]:
     """All C(n, level) bipartitions at one level, lexicographic by row side."""
     if not 1 <= level <= dims.n // 2:
         raise ValueError(
             f"level must be between 1 and {dims.n // 2} for {dims.n} parties, got {level}"
         )
-    return [_make(dims, parties) for parties in combinations(range(1, dims.n + 1), level)]
+    labels = range(1, dims.n + 1)
+    return [
+        Bipartition(parties, tuple(j for j in labels if j not in parties))
+        for parties in combinations(labels, level)
+    ]
 
 
 def all_levels(dims: QuditDims) -> list[list[Bipartition]]:

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import PolicyMismatchError, PrimeClashError
 from .flatten import FlattenedMatrix
-from .gaussian import Parameter
+from .gaussian import Parameter, parse_integer
 from .kernels import rank_mod_gaussian
 
 # Twenty primes == 3 (mod 4) just below 2**31: large enough that random
@@ -119,41 +119,32 @@ class RankPolicy:
 def parse_policy(text: str) -> RankPolicy:
     """Parse the CLI policy syntax: exact | fast | mod:<p> | generic:<trials>,<p>.
 
-    The prime and the trial count are validated here, so that a bad
-    policy is rejected before any state is read.
+    Each number is an optional ``-`` and ASCII digits.  The prime and the
+    trial count are validated here, so that a bad policy is rejected
+    before any state is read.
     """
-    policy = _policy_from_text(text)
+    if text in ("exact", "fast"):
+        return RankPolicy(text)
+    if text == "generic":
+        return RankPolicy.generic()
+    if text.startswith("mod:"):
+        prime = parse_integer(text[len("mod:") :], "prime")
+        if prime is None:
+            raise ValueError(f"malformed modular policy {text!r}")
+        policy = RankPolicy.modular(prime)
+    elif text.startswith("generic:"):
+        parts = text[len("generic:") :].split(",")
+        values = [parse_integer(part, what) for part, what in zip(parts, ("trials", "prime"))]
+        if len(parts) > 2 or None in values:
+            raise ValueError(f"malformed generic policy {text!r}")
+        policy = RankPolicy.generic(*values)
+    else:
+        raise ValueError(f"unknown rank policy {text!r}")
     if policy.prime is not None:
         _check_prime(policy.prime)
     if policy.trials is not None and policy.trials < 1:
         raise ValueError(f"trials must be >= 1, got {policy.trials}")
     return policy
-
-
-def _policy_from_text(text: str) -> RankPolicy:
-    if text == "exact":
-        return RankPolicy.exact()
-    if text == "fast":
-        return RankPolicy.fast()
-    if text.startswith("mod:"):
-        try:
-            return RankPolicy.modular(int(text[4:]))
-        except ValueError:
-            raise ValueError(f"malformed modular policy {text!r}") from None
-    if text == "generic":
-        return RankPolicy.generic()
-    if text.startswith("generic:"):
-        body = text[len("generic:") :]
-        parts = body.split(",")
-        try:
-            if len(parts) == 1:
-                return RankPolicy.generic(trials=int(parts[0]))
-            if len(parts) == 2:
-                return RankPolicy.generic(trials=int(parts[0]), prime=int(parts[1]))
-        except ValueError:
-            pass
-        raise ValueError(f"malformed generic policy {text!r}")
-    raise ValueError(f"unknown rank policy {text!r}")
 
 
 # ---------------------------------------------------------------------------

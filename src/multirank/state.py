@@ -52,7 +52,7 @@ MultiIndex = tuple[int, ...]
 
 @dataclass(frozen=True, slots=True)
 class QuditDims:
-    """Local dimensions of the parties; ``delta`` is their product."""
+    """Local dimensions of the parties: ``dims[j - 1]`` is party j's."""
 
     dims: tuple[int, ...]
 
@@ -67,13 +67,6 @@ class QuditDims:
     @property
     def n(self) -> int:
         return len(self.dims)
-
-    @property
-    def delta(self) -> int:
-        total = 1
-        for d in self.dims:
-            total *= d
-        return total
 
 
 @dataclass(frozen=True)

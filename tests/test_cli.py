@@ -550,3 +550,35 @@ def test_every_failure_path_pins_stderr_and_exit_code(tmp_path, capsys, text, fl
     captured = capsys.readouterr()
     assert captured.err == f"multirank: {err.format(path=path)}\n"
     assert captured.out == ("{{2, 2, 2}}\nverdict: GME (generic)\n" if code == 0 else "")
+
+
+LEVELS_MESSAGE = "--levels must be 'all' or a level between 1 and floor(n/2), got {!r}"
+
+
+@pytest.mark.parametrize(
+    "flags,err",
+    [
+        (["--seed", "1_0"], "--seed must be an integer, got '1_0'"),
+        (["--seed", "\u0663"], "--seed must be an integer, got '\u0663'"),
+        (["--seed", "x"], "--seed must be an integer, got 'x'"),
+        (["--seed", "9" * 5000], "seed has more than 4300 digits"),
+        (["--levels", "\u0661"], LEVELS_MESSAGE.format("\u0661")),
+        (["--levels", "+1"], LEVELS_MESSAGE.format("+1")),
+        (["--levels", " 1"], LEVELS_MESSAGE.format(" 1")),
+        (["--levels", "1" * 5000], "level has more than 4300 digits"),
+        (["--rank", "mod:+7"], "malformed modular policy 'mod:+7'"),
+        (["--rank", "mod:1_9"], "malformed modular policy 'mod:1_9'"),
+        (["--rank", "mod:" + "7" * 5000], "prime has more than 4300 digits"),
+        (["--rank", "generic:\u0663"], "malformed generic policy 'generic:\u0663'"),
+        (["--rank", "generic: 3, 7"], "malformed generic policy 'generic: 3, 7'"),
+        (["--rank", "generic:" + "3" * 5000], "trials has more than 4300 digits"),
+        (["--rank", "generic:3," + "7" * 5000], "prime has more than 4300 digits"),
+    ],
+)
+def test_flag_numbers_are_ascii_digits(capsys, flags, err):
+    from multirank.cli import main
+
+    assert main([W3, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"multirank: {err}\n"
+    assert captured.out == ""

@@ -2,10 +2,12 @@
 
 import random
 from itertools import product
+from math import prod
 
 import pytest
 
 from multirank import (
+    Bipartition,
     InvalidStateError,
     QuditDims,
     build_state,
@@ -64,15 +66,16 @@ def test_cluster4_block_structure():
 )
 def test_index_map_is_a_bijection(dims):
     qd = QuditDims(dims)
-    assert qd.delta <= 4096
+    assert prod(dims) <= 4096
     for level in range(1, qd.n // 2 + 1):
         for bp in enumerate_bipartitions(qd, level):
             seen = set()
             for index in product(*(range(d) for d in dims)):
                 r, c = row_col_of(index, bp, qd)
-                assert 0 <= r < bp.dim_rows and 0 <= c < bp.dim_cols
+                assert 0 <= r < prod(dims[j - 1] for j in bp.parties)
+                assert 0 <= c < prod(dims[j - 1] for j in bp.complement)
                 seen.add((r, c))
-            assert len(seen) == qd.delta
+            assert len(seen) == prod(dims)
 
 
 def test_entry_conservation_on_random_states():
@@ -103,6 +106,20 @@ def test_mismatched_bipartition_rejected():
     other = enumerate_bipartitions(QuditDims((2, 2, 2, 2)), 1)[0]
     with pytest.raises(InvalidStateError):
         flatten(state, other)
+
+
+@pytest.mark.parametrize("parties,complement", [((1,), (2,)), ((1, 2), (2, 3))])
+def test_labels_that_do_not_split_the_parties_are_rejected(parties, complement):
+    with pytest.raises(InvalidStateError, match=r"does not partition parties 1\.\.3"):
+        flatten(w3(), Bipartition(parties, complement))
+
+
+def test_shape_comes_from_the_state_not_the_bipartition():
+    bp = enumerate_bipartitions(QuditDims((2, 2, 2)), 1)[0]
+    ghz = build_state((3, 3, 3), [((0, 0, 0), 1), ((1, 1, 1), 1), ((2, 2, 2), 1)])
+    matrix = flatten(ghz, bp)
+    assert (matrix.rows, matrix.cols) == (3, 9)
+    assert matrix.entries == {(0, 0): gauss(1), (1, 4): gauss(1), (2, 8): gauss(1)}
 
 
 def test_dense_dump_strings():

@@ -62,7 +62,6 @@ def test_partition_invariants():
             assert sorted(bp.parties + bp.complement) == [1, 2, 3, 4, 5]
             assert list(bp.parties) == sorted(bp.parties)
             assert list(bp.complement) == sorted(bp.complement)
-            assert bp.dim_rows * bp.dim_cols == dims.delta
 
 
 def test_complementary_pairs_present_at_half_level():

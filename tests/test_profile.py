@@ -108,7 +108,8 @@ def test_rank_bounds():
         profile = multirank_profile(state)
         for level in profile.levels:
             for bp, result in level:
-                assert 1 <= result.value <= min(bp.dim_rows, bp.dim_cols)
+                matrix = flatten(state, bp)
+                assert 1 <= result.value <= min(matrix.rows, matrix.cols)
 
 
 def test_policy_equivalence_exact_vs_fast():

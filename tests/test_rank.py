@@ -428,6 +428,17 @@ class TestDispatch:
         result = rank_dispatch(matrix_from_dense([[3, 0], [0, 3]]), RankPolicy.modular(3))
         assert (result.value, result.prime) == (0, 3)
 
+    @pytest.mark.parametrize(
+        "policy,message",
+        [
+            (RankPolicy("modular"), "modular policy needs an explicit prime"),
+            (RankPolicy("bogus"), "unknown rank policy kind 'bogus'"),
+        ],
+    )
+    def test_policy_it_cannot_run_is_rejected(self, policy, message):
+        with pytest.raises(ValueError, match=message):
+            rank_dispatch(matrix_from_dense([[1]]), policy)
+
     def test_fast_agrees_with_exact_on_randoms(self):
         rng = random.Random(71)
         for k in range(100):
