@@ -102,7 +102,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         with open(args.input, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail(f"cannot read input: {exc}")
     try:
         state = parse_state(text)

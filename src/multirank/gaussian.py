@@ -6,9 +6,11 @@ standing for an indeterminate.  All arithmetic is exact; nothing in this
 package ever rounds.
 
 The text forms accepted by :func:`parse_coefficient` are whitespace
-tolerant: ``1``, ``-2/3``, ``1/2+1/3i``, ``2i``, ``-i``, or a bare
-identifier such as ``a`` (a parameter).  ``i`` alone always denotes the
-imaginary unit, so a parameter cannot be named ``i``.
+tolerant: an optional real part, then an optional imaginary part, which
+carries its own sign when a real part comes first (``1``, ``-2/3``,
+``1/2+1/3i``, ``2i``, ``-i``), or a bare identifier such as ``a`` (a
+parameter).  ``i`` alone always denotes the imaginary unit, so a
+parameter cannot be named ``i``.
 
 :func:`as_amplitude` reads every coefficient that comes from outside the
 package, and coerces none.
@@ -84,10 +86,9 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 NATURAL_RE = re.compile(r"[0-9]+")
 
 _RATIONAL = rf"{NATURAL_RE.pattern}(?:/{NATURAL_RE.pattern})?"
-# One or two signed terms; the optional second term must be imaginary.
+# A real part ends at a sign or the end, so "2i" is an imaginary part alone.
 _GAUSSIAN_RE = re.compile(
-    rf"(?P<sign1>[+-]?)(?P<term1>(?:{_RATIONAL})?i|{_RATIONAL})"
-    rf"(?:(?P<sign2>[+-])(?P<term2>(?:{_RATIONAL})?i))?\Z"
+    rf"(?P<re>[+-]?{_RATIONAL}(?=[+-]|\Z))?(?P<im>[+-]?(?:{_RATIONAL})?i)?\Z"
 )
 
 
@@ -112,11 +113,15 @@ def parse_integer(text: str, what: str) -> int | None:
     return -value if value is not None and text.startswith("-") else value
 
 
-def _term_value(body: str) -> Fraction:
-    num, _, den = body.removesuffix("i").partition("/")
-    return Fraction(
+def _part(text: str | None) -> Fraction:
+    """The value of one signed part matched by ``_GAUSSIAN_RE``; 0 if absent."""
+    if text is None:
+        return Fraction(0)
+    num, _, den = text.lstrip("+-").removesuffix("i").partition("/")
+    value = Fraction(
         parse_natural(num or "1", "coefficient"), parse_natural(den or "1", "coefficient")
     )
+    return -value if text.startswith("-") else value
 
 
 def parse_coefficient(text: str) -> Amplitude:
@@ -130,26 +135,10 @@ def parse_coefficient(text: str) -> Amplitude:
         raise ValueError("empty coefficient")
     m = _GAUSSIAN_RE.fullmatch(compact)
     if m is not None:
-        term1, term2 = m.group("term1"), m.group("term2")
-        if term2 is not None and term1.endswith("i"):
-            raise ValueError(f"two imaginary parts in coefficient {text!r}")
         try:
-            v1 = _term_value(term1)
+            return GaussianRational(_part(m["re"]), _part(m["im"]))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in coefficient {text!r}") from None
-        if m.group("sign1") == "-":
-            v1 = -v1
-        if term1.endswith("i"):
-            return GaussianRational(Fraction(0), v1)
-        if term2 is None:
-            return GaussianRational(v1, Fraction(0))
-        try:
-            v2 = _term_value(term2)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in coefficient {text!r}") from None
-        if m.group("sign2") == "-":
-            v2 = -v2
-        return GaussianRational(v1, v2)
     # identifiers are not whitespace-tolerant: 'a b' is not a parameter.
     # A unary plus is a no-op; a negated parameter has no representation
     # in the amplitude model, so reject it loudly.

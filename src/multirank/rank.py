@@ -111,8 +111,8 @@ class RankPolicy:
         if self.kind == "modular":
             return f"mod:{self.prime}"
         if self.kind == "generic":
-            prime = self.prime if self.prime is not None else "auto"
-            return f"generic:{self.trials},{prime}"
+            prime = "" if self.prime is None else f",{self.prime}"
+            return f"generic:{self.trials}{prime}"
         return self.kind
 
 

@@ -84,9 +84,6 @@ class StateTensor:
     def has_parameters(self) -> bool:
         return any(isinstance(a, Parameter) for a in self.terms.values())
 
-    def parameter_names(self) -> list[str]:
-        return sorted({a.name for a in self.terms.values() if isinstance(a, Parameter)})
-
 
 def _check_index(index: MultiIndex, dims: QuditDims, k: int) -> None:
     if len(index) != dims.n:

@@ -389,6 +389,35 @@ def test_byte_order_mark_is_ignored(tmp_path, capsys):
         assert expected.out == "{{2, 2, 2}}\nverdict: GME\n"
 
 
+@pytest.mark.parametrize(
+    "data,err",
+    [
+        (
+            b"dims 2 2\n\xff |00>\n",
+            "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte",
+        ),
+        (
+            "dims 2 2\n1 |00>\n".encode("utf-16"),
+            "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        ),
+        (
+            '{"dims": [2, 2], "terms": [{"coeff": "\u00e9", "ket": [0, 0]}]}'.encode("latin-1"),
+            "'utf-8' codec can't decode byte 0xe9 in position 38: invalid continuation byte",
+        ),
+    ],
+    ids=["latin-byte", "utf-16", "latin-1-json"],
+)
+def test_input_that_is_not_utf8_is_exit_2(tmp_path, capsys, data, err):
+    from multirank.cli import main
+
+    path = tmp_path / "input.state"
+    path.write_bytes(data)
+    assert main([str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"multirank: cannot read input: {err}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("terms", ["5", '"ab"', '{"coeff": "1", "ket": [0, 0]}'])
 def test_json_terms_must_be_a_list(tmp_path, capsys, terms):
     from multirank.cli import main

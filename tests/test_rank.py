@@ -463,6 +463,12 @@ class TestPolicyParsing:
         policy = parse_policy(text)
         assert (policy.kind, policy.prime, policy.trials) == (kind, prime, trials)
 
+    @pytest.mark.parametrize(
+        "text", ["exact", "fast", "mod:7", "generic", "generic:3", "generic:3,7"]
+    )
+    def test_label_parses_back(self, text):
+        assert parse_policy(parse_policy(text).label()) == parse_policy(text)
+
     @pytest.mark.parametrize("text", ["", "mod:", "mod:x", "generic:a,b", "best"])
     def test_invalid(self, text):
         with pytest.raises(ValueError):

@@ -51,7 +51,9 @@ class TestParseCoefficient:
     def test_imaginary_unit_is_not_a_parameter(self):
         assert parse_coefficient("i") == GaussianRational(Fraction(0), Fraction(1))
 
-    @pytest.mark.parametrize("text", ["", "1//2", "1+2", "2i+1", "1/0", "a b", "++1"])
+    @pytest.mark.parametrize(
+        "text", ["", "1//2", "1+2", "2i+1", "1/0", "a b", "++1", "2i+3i", "i+i", "1+1/0i"]
+    )
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             parse_coefficient(text)
@@ -88,7 +90,6 @@ class TestParseState:
         state = parse_state("dims 2 2 2 ; +a |000> ; +1 |111>")
         assert state.terms[(0, 0, 0)] == Parameter("a")
         assert state.has_parameters
-        assert state.parameter_names() == ["a"]
 
     def test_comments_and_blank_lines(self):
         state = parse_state("# header\n\ndims 2 2\n+1 |01>  # trailing\n")
@@ -172,6 +173,23 @@ class TestParseState:
     )
     def test_numbers_past_the_digit_limit_are_named_not_echoed(self, text, message):
         with pytest.raises((StateSyntaxError, InvalidStateError)) as err:
+            parse_state(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("dims 2 2\n1 |>", "line 2, column 1: empty ket"),
+            (
+                "dims 2 2\n1+1/0i |00>",
+                "line 2, column 1: zero denominator in coefficient '1+1/0i '",
+            ),
+            ("dims 2 2\n2i+3i |00>", "line 2, column 1: malformed coefficient '2i+3i '"),
+        ],
+        ids=["empty-ket", "imaginary-zero-denominator", "two-imaginary-parts"],
+    )
+    def test_line_faults_are_named(self, text, message):
+        with pytest.raises(StateSyntaxError) as err:
             parse_state(text)
         assert str(err.value) == message
 
