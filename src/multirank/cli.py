@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb, prod
 from typing import Optional
 
 from .classify import EntanglementVerdict, verdict
@@ -35,6 +36,9 @@ from .profile import (
 )
 from .rank import RankPolicy, RankResult, parse_policy
 from .state import StateTensor, parse_state
+
+# every flattening of a state has d_1 * ... * d_n entries, zeros included
+DUMP_LIMIT = 2**24
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,7 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--dump-matrices",
         action="store_true",
-        help="dump every flattened matrix to stderr as exact rationals",
+        help=(
+            "dump every flattened matrix to stderr as exact rationals; "
+            f"refused when the matrices hold more than {DUMP_LIMIT} entries in all"
+        ),
     )
     return parser
 
@@ -117,6 +124,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     if level is not None and not 1 <= level <= state.dims.n // 2:
         return _fail(f"level must be between 1 and {state.dims.n // 2}")
     if args.dump_matrices:
+        n = state.dims.n
+        levels = range(1, n // 2 + 1) if level is None else [level]
+        entries = sum(comb(n, k) for k in levels) * prod(state.dims.dims)
+        if entries > DUMP_LIMIT:
+            return _fail(
+                f"--dump-matrices would print {entries} entries, "
+                f"more than the limit of {DUMP_LIMIT}"
+            )
         _dump_matrices(state, level, file=sys.stderr)
 
     as_json = args.format != "text"

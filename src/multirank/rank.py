@@ -9,11 +9,12 @@ Three routes, one contract:
   reduce each update once (see :mod:`multirank.kernels`).
 
 * :func:`exact_rank` works over the Gaussian rationals by modular passes
-  at one fixed sequence of primes, so it depends on the matrix alone.
-  The largest modular rank is the lower bound; the upper bound is
-  min(nonzero rows, nonzero cols) or a multi-prime Hadamard certificate:
-  once the product of the primes used exceeds the Hadamard bound on the
-  next-larger minors of the row-cleared matrix, those minors are all zero.
+  at one fixed sequence of primes, so its value depends on the matrix
+  alone.  The largest modular rank is the lower bound; the upper bound
+  is the term rank (:func:`_term_rank`), a bound the caller proves, or a
+  multi-prime Hadamard certificate: once the product of the primes used
+  exceeds the Hadamard bound on the next-larger minors of the
+  row-cleared matrix, those minors are all zero.
 
 * :func:`generic_rank`, the one route that draws from a seed, substitutes
   uniform random field elements for each named parameter, takes the
@@ -38,7 +39,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain
 from math import isqrt, lcm, log2, prod
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -68,9 +69,12 @@ class RankResult:
     value is always a lower bound on the exact rank.  ``failure_bound``
     is the Schwartz-Zippel bound on the probability that a generic
     result understates the generic rank.  An exact value records which
-    upper bound closed it in ``certificate`` ("structural" when it met
-    min(nonzero rows, nonzero cols), "hadamard" otherwise) and the
-    number of modular passes it took in ``primes``.
+    upper bound closed it in ``certificate`` and the number of modular
+    passes it took in ``primes``.  The certificate is "structural" when
+    the value met the term rank (min(nonzero rows, nonzero cols) is its
+    cheap first check), "product" when it met r(A)*r(B) for a split of
+    the cut into two certified parts (profile runs only, see
+    :mod:`multirank.profile`), and "hadamard" otherwise.
     """
 
     value: int
@@ -79,7 +83,7 @@ class RankResult:
     prime: Optional[int] = None
     trials: Optional[int] = None
     failure_bound: Optional[float] = None
-    certificate: Optional[str] = None  # "structural" | "hadamard"
+    certificate: Optional[str] = None  # "structural" | "product" | "hadamard"
     primes: Optional[int] = None
 
 
@@ -257,27 +261,80 @@ def modular_rank(matrix: FlattenedMatrix, p: int) -> RankResult:
 # Exact route
 
 
-def exact_rank(matrix: FlattenedMatrix) -> RankResult:
+def _term_rank(rows) -> int:
+    """Largest matching between the compressed rows and their columns.
+
+    Every matrix with this support, at any parameter values, has rank at
+    most its term rank: a nonzero k-minor has a nonzero term in its
+    expansion, which is a matching of size k.  One augmenting-path search
+    per row (Kuhn), run with an explicit stack so that a long path cannot
+    exhaust the interpreter's recursion limit.  A search that fails
+    leaves the matching unchanged, so the columns it visited stay dead
+    until the next augmentation and ``seen`` is cleared only then.
+    """
+    support = [[c for c, _ in row] for _, row in rows]
+    owner: dict[int, int] = {}  # column -> the row matched to it
+    seen: set[int] = set()
+    for start in range(len(support)):
+        stack = [(start, iter(support[start]))]
+        path: list[int] = []  # path[k]: the column that stack[k]'s row takes
+        while stack:
+            for c in stack[-1][1]:
+                if c in seen:
+                    continue
+                seen.add(c)
+                path.append(c)
+                if c not in owner:
+                    for (r, _), col in zip(stack, path):
+                        owner[col] = r
+                    seen.clear()
+                    stack = []
+                else:
+                    stack.append((owner[c], iter(support[owner[c]])))
+                break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
+    return len(owner)
+
+
+def exact_rank(
+    matrix: FlattenedMatrix, upper: Optional[Callable[[], Optional[int]]] = None
+) -> RankResult:
     """Rank over the Gaussian rationals, certified by modular passes alone.
 
     Each admissible prime p (see :func:`_admissible_primes`) gives a
     modular rank, and the largest seen so far, r, is a lower bound on the
-    exact rank.  The loop stops when r meets min(nonzero rows, nonzero
-    cols), or when the product P of the primes used satisfies P**2 > H,
-    with H the product of the r + 1 largest squared row norms of the
-    row-cleared Gaussian-integer matrix.  A parametric entry raises
-    :class:`PolicyMismatchError` in the first pass.
+    exact rank.  The loop stops when r meets an upper bound:
 
-    Proof of the upper bound in the second case.  Clearing a row's
-    denominators scales it by an integer that p does not divide, so the
-    cleared matrix has the same rank mod p, at most r.  Every (r+1)-minor
-    of it is therefore a Gaussian integer divisible by p: a prime
-    p == 3 (mod 4) stays prime in Z[i], so Z[i]/(p) is the field
-    GF(p)[i].  Distinct rational primes are coprime in Z[i], so P divides
-    every (r+1)-minor, and a nonzero one has modulus at least P.  By
-    Hadamard's inequality its squared modulus is at most H < P**2, so
-    every (r+1)-minor is zero and the rank is r.  When a prime raises r,
-    the earlier primes still gave ranks <= r, so P keeps them.
+    * "structural": min(nonzero rows, nonzero cols), checked after every
+      pass, or, once a pass falls below it, the term rank
+      (:func:`_term_rank`), computed once.
+    * "product": ``upper()``, a proven upper bound supplied by the caller
+      (see :mod:`multirank.profile`), called at most once and only when
+      a pass falls below the term rank.  ``None`` means no bound.
+    * "hadamard": the product P of the primes used satisfies P**2 > H,
+      with H the product of the r + 1 largest squared row norms of the
+      row-cleared Gaussian-integer matrix.
+
+    A parametric entry raises :class:`PolicyMismatchError` in the first
+    pass.
+
+    Proof of the term-rank bound.  Every nonzero k-minor has a nonzero
+    term in its Leibniz expansion, whose k entries lie in distinct rows
+    and columns of the support: a matching of size k.
+
+    Proof of the Hadamard bound.  Clearing a row's denominators scales it
+    by an integer that p does not divide, so the cleared matrix has the
+    same rank mod p, at most r.  Every (r+1)-minor of it is therefore a
+    Gaussian integer divisible by p: a prime p == 3 (mod 4) stays prime
+    in Z[i], so Z[i]/(p) is the field GF(p)[i].  Distinct rational primes
+    are coprime in Z[i], so P divides every (r+1)-minor, and a nonzero
+    one has modulus at least P.  By Hadamard's inequality its squared
+    modulus is at most H < P**2, so every (r+1)-minor is zero and the
+    rank is r.  When a prime raises r, the earlier primes still gave
+    ranks <= r, so P keeps them.
     """
     rows, cols, scale = _compress(matrix)
     if not rows:
@@ -285,10 +342,18 @@ def exact_rank(matrix: FlattenedMatrix) -> RankResult:
             0, mode="exact", certainty="exact", certificate="structural", primes=0
         )
     value, product, norms = 0, 1, None
+    ceiling, certificate = min(len(rows), cols), "structural"
     for passes, p in enumerate(_admissible_primes(scale), start=1):
         value = max(value, _pass(rows, cols, scale, p))
-        if value == min(len(rows), cols):
+        if value == ceiling:
             break
+        if passes == 1:
+            ceiling = _term_rank(rows)
+            bound = None if value == ceiling or upper is None else upper()
+            if bound is not None and bound < ceiling:
+                ceiling, certificate = bound, "product"
+            if value == ceiling:
+                break
         if norms is None:
             norms = sorted(
                 (sum(a * a + b * b for _, (a, b) in row) for _, row in rows),
@@ -297,7 +362,8 @@ def exact_rank(matrix: FlattenedMatrix) -> RankResult:
         product *= p
         if product * product > prod(norms[: value + 1]):
             break
-    certificate = "structural" if value == min(len(rows), cols) else "hadamard"
+    if value < ceiling:
+        certificate = "hadamard"
     return RankResult(
         value, mode="exact", certainty="exact", certificate=certificate, primes=passes
     )
@@ -358,12 +424,17 @@ def generic_rank(
 
 
 def rank_dispatch(
-    matrix: FlattenedMatrix, policy: RankPolicy, seed: object = 0
+    matrix: FlattenedMatrix,
+    policy: RankPolicy,
+    seed: object = 0,
+    upper: Optional[Callable[[], Optional[int]]] = None,
 ) -> RankResult:
     """Run one matrix through the policy; exact and fast both run
-    :func:`exact_rank`.  Only the generic route draws from ``seed``."""
+    :func:`exact_rank`, which alone uses ``upper``, a zero-argument
+    callable giving a proven upper bound on the rank or None.  Only the
+    generic route draws from ``seed``."""
     if policy.kind in ("exact", "fast"):
-        return exact_rank(matrix)
+        return exact_rank(matrix, upper)
     if policy.kind == "generic":
         trials = DEFAULT_GENERIC_TRIALS if policy.trials is None else policy.trials
         return generic_rank(matrix, trials=trials, p=policy.prime, seed=seed)

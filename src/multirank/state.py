@@ -27,6 +27,7 @@ Every state, parsed, built from the library or produced by
 reads each coefficient with :func:`~multirank.gaussian.as_amplitude`.
 Duplicate kets merge by exact addition; terms that cancel are dropped;
 an empty result is rejected (the zero state has no meaningful profile).
+A parsed document must give at least one term.
 """
 
 from __future__ import annotations
@@ -221,6 +222,8 @@ def _parse_lines(text: str) -> StateTensor:
             continue
         bar = stmt.find("|")
         if bar < 0 or not stmt.endswith(">"):
+            if stmt.split()[0] == "dims":
+                raise StateSyntaxError("second 'dims' declaration", line, col)
             raise StateSyntaxError("expected '<coeff> |<ket>>'", line, col)
         coeff_text, ket_text = stmt[:bar], stmt[bar + 1 : -1]
         try:
@@ -230,6 +233,8 @@ def _parse_lines(text: str) -> StateTensor:
         terms.append((_parse_ket(ket_text, dims, line, col), amp))
     if dims is None:
         raise StateSyntaxError("empty document: missing dims declaration")
+    if not terms:
+        raise StateSyntaxError("no terms were given")
     return build_state(dims, terms)
 
 
@@ -246,6 +251,8 @@ def _parse_json(text: str) -> StateTensor:
     if not isinstance(doc, dict) or "dims" not in doc or "terms" not in doc:
         raise StateSyntaxError("JSON state needs 'dims' and 'terms' keys")
     dims = QuditDims(tuple(_json_list(doc["dims"], "'dims'")))
+    if doc["terms"] == []:
+        raise StateSyntaxError("'terms' is empty: no terms were given")
     return build_state(dims, _json_terms(doc["terms"]))
 
 

@@ -4,14 +4,16 @@ Random states, random invertible local matrices, the four reference
 states exercised throughout, builders for dense matrices, transposes and
 line-grammar text, and two reference ranks that share no code
 with the library's modular routes: fraction-free Bareiss elimination and
-exhaustive minors.  Every generator takes an explicit ``random.Random``
-so tests stay reproducible.
+exhaustive minors.  An exhaustive term rank checks the structural bound.
+Every generator takes an explicit ``random.Random`` so tests stay
+reproducible.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import lcm
 
@@ -362,6 +364,31 @@ def oracle_rank_minors(matrix: FlattenedMatrix) -> int:
                 if not _determinant(sub).is_zero:
                     return k
     return 0
+
+
+def oracle_term_rank(matrix: FlattenedMatrix) -> int:
+    """Most nonzero entries in distinct rows and columns, by exhaustive search.
+
+    Test oracle for ``rank._term_rank``: each row in turn is either left
+    out or takes one free column of its support, and every choice is
+    tried.  Parametric entries count as nonzero.
+    """
+    support: dict[int, list[int]] = {}
+    for r, c in matrix.entries:
+        support.setdefault(r, []).append(c)
+    rows = list(support.values())
+
+    @cache
+    def best(i: int, used: frozenset) -> int:
+        if i == len(rows):
+            return 0
+        found = best(i + 1, used)
+        for c in rows[i]:
+            if c not in used:
+                found = max(found, 1 + best(i + 1, used | {c}))
+        return found
+
+    return best(0, frozenset())
 
 
 def _determinant(sub: list[list[GaussianRational]]) -> GaussianRational:

@@ -489,9 +489,70 @@ def test_exact_json_entries_carry_a_certificate():
             for entry in level["ranks"]:
                 if entry["certainty"] == "exact":
                     seen += 1
-                    assert entry["certificate"] in ("structural", "hadamard")
+                    assert entry["certificate"] in ("structural", "product", "hadamard")
                     assert entry["primes"] >= 1
     assert seen > 0
+
+
+@pytest.mark.parametrize(
+    "text,err",
+    [
+        (
+            "dims 2 2\n1 |00>\ndims 2 2\n1 |11>\n",
+            "line 3, column 1: second 'dims' declaration",
+        ),
+        ("dims 2 2 ; dims 2 2 2", "line 1, column 12: second 'dims' declaration"),
+        ('{"dims": [2, 2], "terms": []}', "'terms' is empty: no terms were given"),
+        ("dims 2 2\n# no terms\n", "no terms were given"),
+    ],
+    ids=["second-dims", "second-dims-same-line", "json-no-terms", "lines-no-terms"],
+)
+def test_parser_names_the_fault(tmp_path, capsys, text, err):
+    from multirank.cli import main
+
+    path = tmp_path / "input.state"
+    path.write_text(text)
+    assert main([str(path)]) == 2
+    assert capsys.readouterr().err == f"multirank: {path}: {err}\n"
+
+
+def test_dump_above_the_cell_limit_is_refused_before_flattening(tmp_path, capsys, monkeypatch):
+    import multirank.cli as cli
+
+    def no_dump(*args, **kwargs):
+        raise AssertionError("dump started")
+
+    monkeypatch.setattr(cli, "_dump_matrices", no_dump)
+    path = tmp_path / "wide.state"
+    path.write_text("dims 20000 20000\n1 |0,0>\n")
+    assert cli.main([str(path), "--dump-matrices"]) == 2
+    assert capsys.readouterr().err == (
+        "multirank: --dump-matrices would print 800000000 entries, "
+        f"more than the limit of {2**24}\n"
+    )
+    # without the flag the same state runs at once
+    assert cli.main([str(path)]) == 0
+    assert capsys.readouterr().out == "{{1, 1}}\nverdict: fully product\n"
+    assert f"{2**24} entries" in " ".join(cli.build_parser().format_help().split())
+
+
+@pytest.mark.parametrize(
+    "flags,entries", [([], 10 * 16), (["--levels", "1"], 4 * 16), (["--levels", "2"], 6 * 16)]
+)
+def test_dump_limit_counts_every_entry_printed(capsys, monkeypatch, flags, entries):
+    import multirank.cli as cli
+
+    argv = [str(STATES / "cluster4.state"), "--dump-matrices", *flags]
+    monkeypatch.setattr(cli, "DUMP_LIMIT", entries)
+    assert cli.main(argv) == 0
+    dump = capsys.readouterr().err
+    assert sum(line.count(",") + 1 for line in dump.splitlines() if line.startswith("# [")) == entries
+    monkeypatch.setattr(cli, "DUMP_LIMIT", entries - 1)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"multirank: --dump-matrices would print {entries} entries, "
+        f"more than the limit of {entries - 1}\n"
+    )
 
 
 def test_in_process_main_matches_subprocess(capsys):

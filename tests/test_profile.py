@@ -1,6 +1,8 @@
 """Full profile assembly: reference outputs, consistency, and symmetry."""
 
 import random
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -11,18 +13,25 @@ from multirank import (
     exact_rank,
     flatten,
     multirank_profile,
+    parse_state,
     profile_level,
     rank_dispatch,
 )
 from helpers import (
     REFERENCE_PROFILES,
+    bareiss_rank,
     compressed_dense,
     matrix_from_dense,
     oracle_rank_minors,
+    rand_cut_product_state,
+    rand_gauss_fraction,
     rand_gauss_int,
+    rand_product_state,
     rand_state,
     transposed,
 )
+
+STATES = Path(__file__).resolve().parent.parent / "states"
 
 
 def rand_parametric_qubits(rng: random.Random, n: int):
@@ -99,6 +108,42 @@ def test_complement_symmetry_at_half_level():
         by_parties = {bp.parties: r.value for bp, r in entries}
         for bp, r in entries:
             assert by_parties[bp.complement] == r.value
+
+
+def assert_split_bounds(profile):
+    """ceil(r(A) / r(B)) <= r(A | B) <= r(A) * r(B) for every split of every cut."""
+    rank = {frozenset(bp.parties): r.value for level in profile.levels for bp, r in level}
+    for cut, value in rank.items():
+        for size in range(1, len(cut)):
+            for side in combinations(sorted(cut), size):
+                a = rank[frozenset(side)]
+                b = rank[cut - frozenset(side)]
+                assert -(-a // b) <= value <= a * b, (sorted(cut), side)
+
+
+def test_split_bounds_hold_on_every_profile():
+    rng = random.Random(37)
+    states = [parse_state(path.read_text()) for path in sorted(STATES.glob("*.state"))]
+    states += [rand_state(rng, max_n=6) for _ in range(40)]
+    states += [rand_cut_product_state(rng, max_n=6)[0] for _ in range(40)]
+    for state in states:
+        policy = RankPolicy.generic() if state.has_parameters else RankPolicy.fast()
+        assert_split_bounds(multirank_profile(state, policy))
+
+
+def test_product_certificates_equal_bareiss():
+    rng = random.Random(43)
+    states = [rand_cut_product_state(rng, max_n=6, coeff=rand_gauss_fraction)[0] for _ in range(30)]
+    states += [rand_product_state(rng, max_n=6) for _ in range(30)]
+    products = 0
+    for state in states:
+        for level in multirank_profile(state).levels:
+            for bp, result in level:
+                if result.certificate == "product":
+                    products += 1
+                    assert result.value == bareiss_rank(flatten(state, bp))
+                    assert result.primes == 1
+    assert products >= 50
 
 
 def test_rank_bounds():

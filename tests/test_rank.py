@@ -12,6 +12,7 @@ from math import isqrt, prod
 
 import pytest
 
+import multirank.rank as rank_module
 from multirank import (
     PRIMES_3_MOD_4,
     FlattenedMatrix,
@@ -25,6 +26,7 @@ from multirank import (
     flatten,
     generic_rank,
     modular_rank,
+    multirank_profile,
     parse_policy,
     parse_state,
     rank_dispatch,
@@ -34,6 +36,7 @@ from helpers import (
     gauss,
     matrix_from_dense,
     oracle_rank_minors,
+    oracle_term_rank,
     rand_cut_product_state,
     rand_gauss_fraction,
     rand_gauss_int,
@@ -260,7 +263,7 @@ class TestCertificate:
                     cols = len({c for _, c in matrix.entries})
                     deficits += value < min(rows, cols)
                     assert result.certificate == (
-                        "hadamard" if value < min(rows, cols) else "structural"
+                        "hadamard" if value < oracle_term_rank(matrix) else "structural"
                     )
                     assert result.primes >= 1
         assert deficits >= 50
@@ -272,6 +275,56 @@ class TestCertificate:
         tiny = Fraction(1, 2**200)
         result = exact_rank(matrix_from_dense([[tiny, tiny], [1, 1]]))
         assert (result.value, result.certificate, result.primes) == (1, "hadamard", 1)
+
+
+class TestTermRank:
+    """The structural bound: a maximum matching on the nonzero pattern."""
+
+    def test_between_rank_and_nonzero_lines_on_random_sparse_matrices(self):
+        # every other pattern lies on one row and one column, a cross with
+        # term rank at most 2 and often more nonzero lines than that
+        rng = random.Random(97)
+        below_min = 0
+        for k in range(300):
+            height, width = rng.randint(1, 6), rng.randint(1, 6)
+            cross = rng.randrange(height), rng.randrange(width)
+            matrix = matrix_from_dense(
+                [
+                    [
+                        rand_gauss_int(rng)
+                        if rng.random() < 0.7 and (k % 2 or cross[0] == r or cross[1] == c)
+                        else 0
+                        for c in range(width)
+                    ]
+                    for r in range(height)
+                ]
+            )
+            rows, cols, _ = rank_module._compress(matrix)
+            term = rank_module._term_rank(rows)
+            assert bareiss_rank(matrix) <= term == oracle_term_rank(matrix)
+            assert term <= min(len(rows), cols)
+            below_min += term < min(len(rows), cols)
+        assert below_min >= 30
+
+    def test_full_support_deficit_closes_by_hadamard(self):
+        # rank 1 and term rank 2: only the multi-prime bound proves it
+        state = parse_state("dims 2 2 ; 1 |00> ; 1 |01> ; 1 |10> ; 1 |11>")
+        for level in multirank_profile(state).levels:
+            for _, result in level:
+                assert (result.value, result.certificate) == (1, "hadamard")
+
+    def test_long_augmenting_path_needs_no_recursion(self):
+        # rows i < n - 1 each take column i + 1 first, so row n - 1, whose
+        # only column is n - 1, augments along a path through all n rows;
+        # the extra rows of the tall matrix then fail on a visited column
+        n, one = 1500, gauss(1)
+        entries = {}
+        for i in range(n - 1):
+            entries[(i, i + 1)] = entries[(i, i)] = one
+        for r in range(n - 1, n + 100):
+            entries[(r, n - 1)] = one
+        rows, _, _ = rank_module._compress(FlattenedMatrix(n + 100, n, entries))
+        assert rank_module._term_rank(rows) == n
 
 
 class TestModularRank:
