@@ -19,11 +19,11 @@ from .errors import (
 )
 from .flatten import FlattenedMatrix, dense_string_rows, flatten
 from .gaussian import Amplitude, GaussianRational, Parameter, parse_coefficient
+# not in __all__: the benchmark (perfbench/run.py) reads multirank.BACKEND
 from .kernels import BACKEND
 from .partition import Bipartition, all_levels, enumerate_bipartitions
 from .profile import DEFAULT_SEED, MultirankProfile, multirank_profile, profile_level
 from .rank import (
-    PRIMES_3_MOD_4,
     RankPolicy,
     RankResult,
     exact_rank,
@@ -32,19 +32,12 @@ from .rank import (
     parse_policy,
     rank_dispatch,
 )
-from .state import (
-    QuditDims,
-    StateTensor,
-    apply_local_operation,
-    build_state,
-    parse_state,
-)
+from .state import QuditDims, StateTensor, build_state, parse_state
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Amplitude",
-    "BACKEND",
     "Bipartition",
     "DEFAULT_SEED",
     "EntanglementVerdict",
@@ -56,7 +49,6 @@ __all__ = [
     "PolicyMismatchError",
     "Parameter",
     "PrimeClashError",
-    "PRIMES_3_MOD_4",
     "QuditDims",
     "RankPolicy",
     "RankResult",
@@ -64,7 +56,6 @@ __all__ = [
     "StateTensor",
     "ZeroStateError",
     "all_levels",
-    "apply_local_operation",
     "build_state",
     "dense_string_rows",
     "enumerate_bipartitions",

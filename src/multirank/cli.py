@@ -8,6 +8,12 @@ prints the profile as nested brace lists, e.g.::
     {{2, 2, 2, 2}, {2, 4, 4, 4, 4, 2}}
     verdict: GME
 
+``--levels k`` ranks one level and renders it through the same report
+as a one-level profile: its brace list, or a JSON document with that
+level's ``ranks`` and no verdict.  A JSON rank entry is the cut, its
+rank, and every other field of its :class:`~multirank.rank.RankResult`
+that is set.  ``--dump-matrices`` prints the cuts that the run ranks.
+
 Exit codes: 0 success, 2 a bad flag or unreadable input, otherwise the
 ``exit_code`` of the :class:`~multirank.errors.MultirankError` raised
 (see :mod:`multirank.errors`).  Runs are reproducible: the seed
@@ -19,7 +25,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import comb, prod
+from dataclasses import fields
+from math import prod
 from typing import Optional
 
 from .classify import EntanglementVerdict, verdict
@@ -34,7 +41,7 @@ from .profile import (
     multirank_profile,
     profile_level,
 )
-from .rank import RankPolicy, RankResult, parse_policy
+from .rank import RankResult, parse_policy
 from .state import StateTensor, parse_state
 
 # every flattening of a state has d_1 * ... * d_n entries, zeros included
@@ -124,29 +131,27 @@ def main(argv: Optional[list[str]] = None) -> int:
     if level is not None and not 1 <= level <= state.dims.n // 2:
         return _fail(f"level must be between 1 and {state.dims.n // 2}")
     if args.dump_matrices:
-        n = state.dims.n
-        levels = range(1, n // 2 + 1) if level is None else [level]
-        entries = sum(comb(n, k) for k in levels) * prod(state.dims.dims)
+        if level is None:
+            groups = all_levels(state.dims)
+        else:
+            groups = [enumerate_bipartitions(state.dims, level)]
+        entries = sum(map(len, groups)) * prod(state.dims.dims)
         if entries > DUMP_LIMIT:
             return _fail(
                 f"--dump-matrices would print {entries} entries, "
                 f"more than the limit of {DUMP_LIMIT}"
             )
-        _dump_matrices(state, level, file=sys.stderr)
+        _dump_matrices(state, groups, file=sys.stderr)
 
-    as_json = args.format != "text"
     try:
         if level is None:
             profile = multirank_profile(state, policy, seed)
-            report = _full_report(profile, args.dedupe, as_json)
         else:
             entries = profile_level(state, level, policy, seed)
-            report = _level_report(
-                state, level, entries, policy, seed, args.dedupe, as_json
-            )
+            profile = MultirankProfile(state.dims, (entries,), policy, seed)
     except MultirankError as exc:
         return _fail(str(exc), exc.exit_code)
-    print(report)
+    print(_report(profile, level, args.dedupe, args.format != "text"))
     return 0
 
 
@@ -159,10 +164,13 @@ def _fail(message: str, code: int = 2) -> int:
 # Report rendering
 
 
+def _braces(items) -> str:
+    return "{" + ", ".join(str(x) for x in items) + "}"
+
+
 def format_rank_lists(rank_lists: list[list[int]]) -> str:
     """The nested brace syntax, e.g. {{2, 2, 2, 2}, {2, 4, 4, 4, 4, 2}}."""
-    inner = ("{" + ", ".join(str(v) for v in level) + "}" for level in rank_lists)
-    return "{" + ", ".join(inner) + "}"
+    return _braces(_braces(level) for level in rank_lists)
 
 
 def _dedupe_levels(levels: tuple[LevelEntries, ...], n: int) -> tuple[LevelEntries, ...]:
@@ -190,19 +198,31 @@ def _verdict_text(v: EntanglementVerdict, generic: bool) -> str:
     return text + (" (generic)" if generic else "")
 
 
-def _full_report(profile: MultirankProfile, dedupe: bool, as_json: bool) -> str:
+def _report(
+    profile: MultirankProfile, level: Optional[int], dedupe: bool, as_json: bool
+) -> str:
+    """The report of a full run, or of the single-level run ``level``."""
     levels = profile.levels
     if dedupe:
         levels = _dedupe_levels(levels, profile.dims.n)
-    rank_lists = [[r.value for _, r in level] for level in levels]
+    rank_lists = [[r.value for _, r in entries] for entries in levels]
+    head = {
+        "dims": list(profile.dims.dims),
+        "policy": profile.policy.label(),
+        "seed": profile.seed,
+    }
+    if level is not None:
+        if not as_json:
+            return _braces(rank_lists[0])
+        ranks = [_entry_doc(bp, r) for bp, r in levels[0]]
+        doc = {**head, "level": level, "ranks": ranks, "profile": rank_lists}
+        return json.dumps(doc, indent=2)
     v = verdict(profile)
     generic = profile.policy.kind == "generic"
     if not as_json:
         return format_rank_lists(rank_lists) + "\nverdict: " + _verdict_text(v, generic)
     doc = {
-        "dims": list(profile.dims.dims),
-        "policy": profile.policy.label(),
-        "seed": profile.seed,
+        **head,
         "dedupe": dedupe,
         "levels": [
             {
@@ -222,51 +242,21 @@ def _full_report(profile: MultirankProfile, dedupe: bool, as_json: bool) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _level_report(
-    state: StateTensor, level: int, entries: LevelEntries,
-    policy: RankPolicy, seed: int, dedupe: bool, as_json: bool,
-) -> str:
-    if dedupe:
-        (entries,) = _dedupe_levels((entries,), state.dims.n)
-    values = [r.value for _, r in entries]
-    if not as_json:
-        return "{" + ", ".join(str(x) for x in values) + "}"
-    doc = {
-        "dims": list(state.dims.dims),
-        "policy": policy.label(),
-        "seed": seed,
-        "level": level,
-        "ranks": [_entry_doc(bp, r) for bp, r in entries],
-        "profile": [values],
-    }
-    return json.dumps(doc, indent=2)
-
-
 def _entry_doc(bp: Bipartition, result: RankResult) -> dict:
+    """The cut and its rank, then every other field of the result that is set."""
     doc = {
         "parties": list(bp.parties),
         "complement": list(bp.complement),
         "rank": result.value,
-        "mode": result.mode,
-        "certainty": result.certainty,
     }
-    if result.prime is not None:
-        doc["prime"] = result.prime
-    if result.trials is not None:
-        doc["trials"] = result.trials
-    if result.failure_bound is not None:
-        doc["failure_bound"] = result.failure_bound
-    if result.certificate is not None:
-        doc["certificate"] = result.certificate
-        doc["primes"] = result.primes
+    for field in fields(result):
+        value = getattr(result, field.name)
+        if field.name != "value" and value is not None:
+            doc[field.name] = value
     return doc
 
 
-def _dump_matrices(state: StateTensor, single_level: Optional[int], file) -> None:
-    if single_level is None:
-        groups = all_levels(state.dims)
-    else:
-        groups = [enumerate_bipartitions(state.dims, single_level)]
+def _dump_matrices(state: StateTensor, groups: list[list[Bipartition]], file) -> None:
     for group in groups:
         for bp in group:
             matrix = flatten(state, bp)

@@ -22,9 +22,9 @@ Two input syntaxes feed :func:`parse_state`:
   "ket": [...]}, ...]}``; a coefficient is a string in the same grammar
   or an integer, and an object with two equal keys is refused.
 
-Every state, parsed, built from the library or produced by
-:func:`apply_local_operation`, is made by :func:`build_state`, which
-reads each coefficient with :func:`~multirank.gaussian.as_amplitude`.
+Every state, parsed or built from the library, is made by
+:func:`build_state`, which reads each coefficient with
+:func:`~multirank.gaussian.as_amplitude`.
 Duplicate kets merge by exact addition; terms that cancel are dropped;
 an empty result is rejected (the zero state has no meaningful profile).
 A parsed document must give at least one term.
@@ -280,52 +280,3 @@ def _json_list(value: object, what: str) -> list:
     if not isinstance(value, list):
         raise StateSyntaxError(f"{what} must be a list")
     return value
-
-
-# ---------------------------------------------------------------------------
-# Local operations
-
-
-def apply_local_operation(
-    state: StateTensor,
-    site: int,
-    matrix: Sequence[Sequence[object]],
-) -> StateTensor:
-    """Apply an exact d x d matrix to one tensor factor.
-
-    ``site`` is the 1-based party label.  Acting on a term ``c|i>`` at
-    that site produces ``sum_k c * A[k][i] |k>``.  Each row is a list or
-    tuple of values that ``as_amplitude`` reads, parameters excepted.
-    Invertible matrices leave every flattening rank unchanged; that is
-    verified by the test suite, not assumed here.
-    """
-    if not _is_int(site):
-        raise InvalidStateError(f"site must be an integer, got {site!r}")
-    if not 1 <= site <= state.dims.n:
-        raise InvalidStateError(f"site {site} out of range for {state.dims.n} parties")
-    d = state.dims.dims[site - 1]
-    rows = []
-    try:
-        for row in matrix:
-            if not isinstance(row, (list, tuple)):
-                raise TypeError(f"row {row!r} is not a list or tuple")
-            rows.append([as_amplitude(v) for v in row])
-    except (TypeError, ValueError) as exc:
-        raise InvalidStateError(f"matrix for site {site}: {exc}") from None
-    if len(rows) != d or any(len(row) != d for row in rows):
-        raise InvalidStateError(f"matrix must be {d}x{d} for site {site}")
-    if state.has_parameters or any(isinstance(v, Parameter) for row in rows for v in row):
-        raise InvalidStateError(
-            "local operations with parameters are not representable "
-            "in the amplitude model"
-        )
-    axis = site - 1
-    return build_state(
-        state.dims,
-        (
-            (index[:axis] + (k,) + index[axis + 1 :], rows[k][index[axis]] * amp)
-            for index, amp in state.terms.items()
-            for k in range(d)
-            if not rows[k][index[axis]].is_zero
-        ),
-    )

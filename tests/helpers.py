@@ -1,7 +1,7 @@
 """Shared constructions for the test suite.
 
-Random states, random invertible local matrices, the four reference
-states exercised throughout, builders for dense matrices, transposes and
+Random states, random invertible local matrices and their action on one
+party, the four reference states exercised throughout, builders for dense matrices, transposes and
 line-grammar text, and two reference ranks that share no code
 with the library's modular routes: fraction-free Bareiss elimination and
 exhaustive minors.  An exhaustive term rank checks the structural bound.
@@ -16,17 +16,19 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import lcm
+from typing import Sequence
 
 from multirank import (
     FlattenedMatrix,
     GaussianRational,
+    InvalidStateError,
     Parameter,
     PolicyMismatchError,
     QuditDims,
     StateTensor,
     build_state,
 )
-from multirank.gaussian import as_amplitude
+from multirank.gaussian import _is_int, as_amplitude
 
 GaussInt = tuple[int, int]
 
@@ -239,6 +241,51 @@ def rand_invertible_matrix(rng: random.Random, d: int):
     perm = list(range(d))
     rng.shuffle(perm)
     return [product[i] for i in perm]
+
+
+def apply_local_operation(
+    state: StateTensor,
+    site: int,
+    matrix: Sequence[Sequence[object]],
+) -> StateTensor:
+    """Apply an exact d x d matrix to one tensor factor.
+
+    ``site`` is the 1-based party label.  Acting on a term ``c|i>`` at
+    that site produces ``sum_k c * A[k][i] |k>``.  Each row is a list or
+    tuple of values that ``as_amplitude`` reads, parameters excepted.
+    Invertible matrices leave every flattening rank unchanged; that is
+    verified by the test suite, not assumed here.
+    """
+    if not _is_int(site):
+        raise InvalidStateError(f"site must be an integer, got {site!r}")
+    if not 1 <= site <= state.dims.n:
+        raise InvalidStateError(f"site {site} out of range for {state.dims.n} parties")
+    d = state.dims.dims[site - 1]
+    rows = []
+    try:
+        for row in matrix:
+            if not isinstance(row, (list, tuple)):
+                raise TypeError(f"row {row!r} is not a list or tuple")
+            rows.append([as_amplitude(v) for v in row])
+    except (TypeError, ValueError) as exc:
+        raise InvalidStateError(f"matrix for site {site}: {exc}") from None
+    if len(rows) != d or any(len(row) != d for row in rows):
+        raise InvalidStateError(f"matrix must be {d}x{d} for site {site}")
+    if state.has_parameters or any(isinstance(v, Parameter) for row in rows for v in row):
+        raise InvalidStateError(
+            "local operations with parameters are not representable "
+            "in the amplitude model"
+        )
+    axis = site - 1
+    return build_state(
+        state.dims,
+        (
+            (index[:axis] + (k,) + index[axis + 1 :], rows[k][index[axis]] * amp)
+            for index, amp in state.terms.items()
+            for k in range(d)
+            if not rows[k][index[axis]].is_zero
+        ),
+    )
 
 
 def compressed_dense(matrix: FlattenedMatrix):

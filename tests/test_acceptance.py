@@ -13,7 +13,6 @@ import pytest
 
 from multirank import (
     RankPolicy,
-    apply_local_operation,
     enumerate_bipartitions,
     exact_rank,
     flatten,
@@ -25,6 +24,7 @@ from multirank import (
 )
 from multirank.cli import format_rank_lists
 from helpers import (
+    apply_local_operation,
     bareiss_rank,
     cluster4,
     ghz6_qutrit_plus,

@@ -4,7 +4,6 @@ import random
 
 from multirank import (
     RankPolicy,
-    apply_local_operation,
     build_state,
     is_fully_product,
     is_gme,
@@ -12,6 +11,7 @@ from multirank import (
     verdict,
 )
 from helpers import (
+    apply_local_operation,
     cluster4,
     rand_cut_product_state,
     rand_invertible_matrix,

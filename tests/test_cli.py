@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from math import prod
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from multirank import PRIMES_3_MOD_4
+from multirank.rank import PRIMES_3_MOD_4
 
 REPO = Path(__file__).resolve().parent.parent
 STATES = REPO / "states"
@@ -672,3 +673,53 @@ def test_flag_numbers_are_ascii_digits(capsys, flags, err):
     captured = capsys.readouterr()
     assert captured.err == f"multirank: {err}\n"
     assert captured.out == ""
+
+
+def _json_run(capsys, path, *flags):
+    from multirank.cli import main
+
+    assert main([str(path), "--format", "json", *flags]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+ENTRY_HEAD = ["parties", "complement", "rank", "mode", "certainty"]
+
+
+@pytest.mark.parametrize(
+    "state,policy,tail",
+    [
+        ("w3", "fast", ["certificate", "primes"]),
+        ("w3", "exact", ["certificate", "primes"]),
+        ("w3", "mod:2147483647", ["prime"]),
+        ("param_ghz3", "generic", ["prime", "trials", "failure_bound"]),
+    ],
+)
+def test_json_entry_keys_in_order(capsys, state, policy, tail):
+    path = STATES / f"{state}.state"
+    full = _json_run(capsys, path, "--rank", policy)
+    assert list(full["levels"][0]["ranks"][0]) == ENTRY_HEAD + tail
+    single = _json_run(capsys, path, "--rank", policy, "--levels", "1")
+    assert list(single["ranks"][0]) == ENTRY_HEAD + tail
+
+
+def test_json_document_keys_in_order(capsys):
+    path = STATES / "cluster4.state"
+    full = _json_run(capsys, path)
+    assert list(full) == ["dims", "policy", "seed", "dedupe", "levels", "profile", "verdict"]
+    single = _json_run(capsys, path, "--levels", "2")
+    assert list(single) == ["dims", "policy", "seed", "level", "ranks", "profile"]
+
+
+@pytest.mark.parametrize("dedupe", [[], ["--dedupe"]], ids=["all", "dedupe"])
+@pytest.mark.parametrize("path", sorted(STATES.glob("*.state")), ids=lambda p: p.stem)
+def test_single_level_text_is_the_full_runs_brace_list(capsys, path, dedupe):
+    from multirank.cli import main
+
+    flags = ["--rank", "generic"] if path.name.startswith("param") else []
+    assert main([str(path), *flags, *dedupe]) == 0
+    first_line = capsys.readouterr().out.splitlines()[0]
+    lists = re.findall(r"\{[^{}]*\}", first_line)
+    assert lists
+    for k, expected in enumerate(lists, start=1):
+        assert main([str(path), *flags, *dedupe, "--levels", str(k)]) == 0
+        assert capsys.readouterr().out == expected + "\n"

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 
-from multirank import PRIMES_3_MOD_4
+from multirank.rank import PRIMES_3_MOD_4
 from multirank import kernels
 
 

@@ -14,7 +14,6 @@ import pytest
 
 import multirank.rank as rank_module
 from multirank import (
-    PRIMES_3_MOD_4,
     FlattenedMatrix,
     PolicyMismatchError,
     PrimeClashError,
@@ -31,6 +30,7 @@ from multirank import (
     parse_state,
     rank_dispatch,
 )
+from multirank.rank import PRIMES_3_MOD_4
 from helpers import (
     bareiss_rank,
     gauss,

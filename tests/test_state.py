@@ -11,7 +11,6 @@ from multirank import (
     Parameter,
     StateSyntaxError,
     ZeroStateError,
-    apply_local_operation,
     build_state,
     exact_rank,
     flatten,
@@ -19,7 +18,14 @@ from multirank import (
     parse_coefficient,
     parse_state,
 )
-from helpers import gauss, rand_gauss_int, rand_state, serialize_state, w3
+from helpers import (
+    apply_local_operation,
+    gauss,
+    rand_gauss_int,
+    rand_state,
+    serialize_state,
+    w3,
+)
 
 
 class TestParseCoefficient:
