@@ -26,7 +26,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields
-from math import prod
+from math import comb, prod
 from typing import Optional
 
 from .classify import EntanglementVerdict, verdict
@@ -131,16 +131,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     if level is not None and not 1 <= level <= state.dims.n // 2:
         return _fail(f"level must be between 1 and {state.dims.n // 2}")
     if args.dump_matrices:
-        if level is None:
-            groups = all_levels(state.dims)
-        else:
-            groups = [enumerate_bipartitions(state.dims, level)]
-        entries = sum(map(len, groups)) * prod(state.dims.dims)
+        # counted before any cut is enumerated, so a refusal costs nothing
+        n = state.dims.n
+        levels = range(1, n // 2 + 1) if level is None else (level,)
+        entries = sum(comb(n, k) for k in levels) * prod(state.dims.dims)
         if entries > DUMP_LIMIT:
             return _fail(
                 f"--dump-matrices would print {entries} entries, "
                 f"more than the limit of {DUMP_LIMIT}"
             )
+        if level is None:
+            groups = all_levels(state.dims)
+        else:
+            groups = [enumerate_bipartitions(state.dims, level)]
         _dump_matrices(state, groups, file=sys.stderr)
 
     try:

@@ -32,7 +32,6 @@ A parsed document must give at least one term.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -239,6 +238,8 @@ def _parse_lines(text: str) -> StateTensor:
 
 
 def _parse_json(text: str) -> StateTensor:
+    import json  # here alone, so that `import multirank` does not load it
+
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:

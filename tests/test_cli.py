@@ -556,6 +556,30 @@ def test_dump_limit_counts_every_entry_printed(capsys, monkeypatch, flags, entri
     )
 
 
+@pytest.mark.parametrize(
+    "flags,entries",
+    [([], 616_665 * 2**20), (["--levels", "1"], 20 * 2**20)],
+    ids=["all-levels", "one-level"],
+)
+def test_oversized_dump_is_refused_before_any_cut_is_enumerated(
+    tmp_path, capsys, monkeypatch, flags, entries
+):
+    import multirank.cli as cli
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("cuts enumerated")
+
+    monkeypatch.setattr(cli, "all_levels", no_enumeration)
+    monkeypatch.setattr(cli, "enumerate_bipartitions", no_enumeration)
+    path = tmp_path / "twenty.state"
+    path.write_text("dims " + " ".join(["2"] * 20) + "\n1 |" + "0" * 20 + ">\n")
+    assert cli.main([str(path), "--dump-matrices", *flags]) == 2
+    assert capsys.readouterr().err == (
+        f"multirank: --dump-matrices would print {entries} entries, "
+        f"more than the limit of {2**24}\n"
+    )
+
+
 def test_in_process_main_matches_subprocess(capsys):
     from multirank.cli import main
 

@@ -3,6 +3,7 @@
 import random
 
 import numpy as np
+import pytest
 
 from multirank.rank import PRIMES_3_MOD_4
 from multirank import kernels
@@ -70,3 +71,99 @@ def test_pure_kernel_handles_worst_case_values():
 
 def test_selected_backend_reported():
     assert kernels.BACKEND == "python"
+
+
+def gf_rank(re, im, p):
+    """Rank over GF(p)[i] by plain elimination on Python ints, row by row."""
+    rows, cols = re.shape
+    m = [[(int(re[r, c]), int(im[r, c])) for c in range(cols)] for r in range(rows)]
+    rank = 0
+    for col in range(cols):
+        piv = next((r for r in range(rank, rows) if m[r][col] != (0, 0)), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        a, b = m[rank][col]
+        norm_inv = pow(a * a + b * b, -1, p)
+        inv = (a * norm_inv % p, -b * norm_inv % p)
+        for r in range(rank + 1, rows):
+            x, y = m[r][col]
+            gr, gi = (x * inv[0] - y * inv[1]) % p, (x * inv[1] + y * inv[0]) % p
+            m[r] = [
+                ((u - gr * s + gi * t) % p, (v - gr * t - gi * s) % p)
+                for (u, v), (s, t) in zip(m[r], m[rank])
+            ]
+        rank += 1
+    return rank
+
+
+def from_entries(rows, cols, entries):
+    re = np.zeros((rows, cols), dtype=np.int64)
+    im = np.zeros((rows, cols), dtype=np.int64)
+    for (r, c), (x, y) in entries.items():
+        re[r, c], im[r, c] = x, y
+    return re, im
+
+
+def assert_kernel_matches(re, im, p, expected=None):
+    want = gf_rank(re, im, p)
+    if expected is not None:
+        assert want == expected
+    assert kernels.rank_mod_gaussian(re.copy(), im.copy(), p) == want
+    assert kernels.rank_mod_gaussian(re.T.copy(), im.T.copy(), p) == want
+
+
+@pytest.mark.parametrize("p", [7, 11, 19, *PRIMES_3_MOD_4[:3]])
+def test_sparse_matrices_match_plain_elimination(p):
+    # small primes make entries cancel during elimination
+    rng = random.Random(p)
+    for _ in range(120):
+        rows, cols = rng.randint(1, 16), rng.randint(1, 16)
+        re, im = rand_arrays(rng, rows, cols, p, density=rng.uniform(0.05, 0.3))
+        assert_kernel_matches(re, im, p)
+
+
+@pytest.mark.parametrize("p", [7, PRIMES_3_MOD_4[0]])
+def test_every_pivot_of_a_permutation_matrix_is_lone(p):
+    rng = random.Random(11)
+    for n in range(1, 17):
+        order = rng.sample(range(n), n)
+        entries = {(r, c): (rng.randrange(1, p), rng.randrange(p)) for r, c in enumerate(order)}
+        re, im = from_entries(n, n, entries)
+        assert_kernel_matches(re, im, p, expected=n)
+        # a partial permutation padded with zero rows keeps its rank
+        keep = rng.randint(0, n)
+        re, im = from_entries(n + 3, n, {k: v for k, v in entries.items() if k[0] < keep})
+        assert_kernel_matches(re, im, p, expected=keep)
+
+
+def test_column_with_nonzeros_separated_by_zero_rows():
+    p = 7
+    # column 0 is nonzero in rows 2, 5 and 6 only; row 5 is 3i times row 2
+    entries = {
+        (2, 0): (1, 2), (2, 1): (3, 0), (2, 3): (0, 1),
+        (5, 0): (1, 3), (5, 1): (0, 2), (5, 3): (4, 0),
+        (6, 0): (5, 5), (6, 2): (1, 0),
+        (8, 1): (2, 6), (8, 3): (1, 1),
+    }
+    re, im = from_entries(9, 4, entries)
+    # row 8, below the column's last nonzero, still pivots column 1
+    assert_kernel_matches(re, im, p, expected=3)
+
+
+@pytest.mark.parametrize(
+    "entries,expected",
+    [
+        # in columns 0 and 1, row 1 is 2 times row 0 and row 2 is 1 + i
+        # times it: column 1 is empty below its pivot once column 0 is cleared
+        ({(0, 0): (1, 1), (0, 1): (2, 0), (1, 0): (2, 2), (1, 1): (4, 0), (1, 2): (1, 0),
+          (2, 0): (0, 2), (2, 1): (2, 2)}, 2),
+        # clearing column 0 leaves one nonzero in column 1, a lone pivot
+        ({(0, 0): (1, 0), (0, 1): (1, 0), (1, 0): (1, 0), (1, 1): (2, 0),
+          (2, 0): (3, 1), (2, 1): (3, 1)}, 2),
+    ],
+    ids=["emptied", "left-lone"],
+)
+def test_column_emptied_below_its_pivot_by_an_earlier_step(entries, expected):
+    re, im = from_entries(3, 3, entries)
+    assert_kernel_matches(re, im, 7, expected=expected)

@@ -1,7 +1,11 @@
 """State parsing, construction, serialization, and local operations."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -477,3 +481,23 @@ class TestApplyLocalOperation:
     def test_negated_parameter_rejected(self):
         with pytest.raises(StateSyntaxError):
             parse_state("dims 2 2 ; -a |00> ; +1 |11>")
+
+
+def test_import_does_not_load_json():
+    # json is imported by the JSON parser alone, when a document needs it
+    probe = (
+        "import sys; before = set(sys.modules); import multirank; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    repo = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=repo,
+        env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = done.stdout.split()
+    assert "multirank.state" in loaded
+    assert "json" not in loaded
