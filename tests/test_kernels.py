@@ -167,3 +167,80 @@ def test_column_with_nonzeros_separated_by_zero_rows():
 def test_column_emptied_below_its_pivot_by_an_earlier_step(entries, expected):
     re, im = from_entries(3, 3, entries)
     assert_kernel_matches(re, im, 7, expected=expected)
+
+
+# The kernel peels the block not yet pivoted at its first column with two
+# or more nonzeros: lone columns drop the rows that hold them, lone rows the
+# columns.  Each case below is pinned against plain elimination.
+
+
+def test_two_lone_columns_in_one_row_count_it_once():
+    # columns 1 and 2 are lone, both in row 2; rows 0 and 1 are proportional
+    entries = {
+        (0, 0): (1, 0), (0, 3): (2, 0),
+        (1, 0): (3, 0), (1, 3): (6, 0),
+        (2, 0): (1, 1), (2, 1): (2, 0), (2, 2): (0, 3),
+    }
+    re, im = from_entries(3, 4, entries)
+    assert_kernel_matches(re, im, 7, expected=2)
+
+
+def test_lone_row_and_lone_column_meeting_at_one_entry():
+    # (2, 2) is the only nonzero of its row and of its column
+    entries = {
+        (0, 0): (1, 0), (0, 1): (1, 0),
+        (1, 0): (2, 0), (1, 1): (2, 0),
+        (2, 2): (5, 0),
+    }
+    re, im = from_entries(3, 3, entries)
+    assert_kernel_matches(re, im, 7, expected=2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 15])
+def test_staircase_each_removal_leaves_the_next_line_lone(n):
+    # (n + 1) x n lower bidiagonal: column 0 needs an update, and only the
+    # first and last rows are lone until their columns are dropped
+    rng = random.Random(n)
+    p = 7
+    entries = {}
+    for i in range(n):
+        entries[i, i] = (rng.randrange(1, p), rng.randrange(p))
+        entries[i + 1, i] = (rng.randrange(1, p), rng.randrange(p))
+    re, im = from_entries(n + 1, n, entries)
+    assert_kernel_matches(re, im, p, expected=n)
+
+
+def test_lone_pivots_then_a_block_that_peels_to_nothing():
+    # columns 0 and 1 have lone pivots (rows 3 and 1); column 2 then has two
+    # nonzeros below them, and the rest, rows 0, 2, 4 by columns 2-4, peels
+    entries = {
+        (3, 0): (1, 1), (3, 2): (2, 0), (3, 4): (0, 3),
+        (1, 1): (4, 0), (1, 3): (1, 2),
+        (0, 2): (1, 0), (0, 3): (5, 1),
+        (2, 2): (3, 3),
+        (4, 4): (6, 0),
+    }
+    re, im = from_entries(5, 5, entries)
+    assert_kernel_matches(re, im, 7, expected=5)
+
+
+@pytest.mark.parametrize("p", [7, PRIMES_3_MOD_4[0]])
+def test_peelable_part_beside_a_dense_rank_two_core(p):
+    rng = random.Random(p)
+    for _ in range(20):
+        core = low_rank_arrays(rng, 3, 3, 2, p)
+        while not (core[0] | core[1]).all():
+            core = low_rank_arrays(rng, 3, 3, 2, p)
+        re, im = np.zeros((5, 5), dtype=np.int64), np.zeros((5, 5), dtype=np.int64)
+        re[:3, :3], im[:3, :3] = core
+        # column 3 is lone in row 3, which also meets the core's columns;
+        # row 4 is lone in column 4, which also meets the core's rows
+        for r, c in [(3, 3), (3, 0), (3, 2), (4, 4), (0, 4), (2, 4)]:
+            re[r, c], im[r, c] = rng.randrange(1, p), rng.randrange(p)
+        assert_kernel_matches(re, im, p, expected=4)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_empty_shapes_have_rank_zero(shape):
+    re = np.zeros(shape, dtype=np.int64)
+    assert_kernel_matches(re, re.copy(), 7, expected=0)
