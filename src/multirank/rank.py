@@ -22,11 +22,13 @@ Three routes, one contract:
   per-trial failure probability is at most deg/p with deg bounded by the
   smaller matrix dimension (entries are at most linear in the parameters).
 
-Every route starts from :func:`_compress`, the one place where
-amplitudes become numbers: it discards all-zero rows and columns, so the
-working matrix is never larger than the number of nonzero entries on a
-side, and clears each row's denominators, so every entry is a pair of
-integers.  A modular pass then only reduces those integers mod p.
+Every route starts from :func:`_compress`, which discards all-zero rows
+and columns, so the working matrix is never larger than the number of
+nonzero entries on a side.  A modular pass (:func:`_pass`) is the one
+place where amplitudes become numbers, read as num * den^-1 mod p: the
+row-cleared matrix with each row scaled by s^-1 mod p, s the lcm of the
+row's denominators, which p does not divide.  So every modular rank,
+pass count, certificate and generic draw is the cleared matrix's.
 :func:`rank_dispatch` glues the routes together under a policy; the
 exact and fast policies are two names for :func:`exact_rank`.
 """
@@ -156,57 +158,48 @@ def parse_policy(text: str) -> RankPolicy:
 
 
 def _compress(matrix: FlattenedMatrix):
-    """Nonzero rows and cols only, each row cleared of its denominators.
+    """Nonzero rows and cols only: the nonzero entries, grouped by row.
 
     Returns ``(rows, cols, scale)``.  ``rows`` lists, in first-seen order,
-    ``(s, [(col, entry), ...])``: ``s`` is the lcm of the row's
-    denominators, and each entry is the Gaussian integer ``s * amplitude``
-    as a pair ``(re, im)``, or a :class:`Parameter`, which a pass scales by
-    ``s`` when it draws the parameter's value.  ``scale`` is the lcm of
-    every denominator.  A prime that does not divide ``scale`` divides no
-    ``s``, so the cleared matrix has the same rank mod p.
+    ``[(col, amplitude), ...]``, with cols renumbered in first-seen order.
+    ``scale`` is the lcm of every denominator.
     """
     by_row: dict[int, list] = {}
+    col_of: dict[int, int] = {}
     for (r, c), amp in matrix.entries.items():
-        by_row.setdefault(r, []).append((c, amp))
-    col_of = {c: i for i, c in enumerate(dict.fromkeys(c for _, c in matrix.entries))}
-    rows, scale = [], 1
-    for entries in by_row.values():
-        amps = [a for _, a in entries if not isinstance(a, Parameter)]
-        s = lcm(*(d for a in amps for d in (a.re.denominator, a.im.denominator)))
-        row = []
-        for c, a in entries:
-            if not isinstance(a, Parameter):
-                a = (
-                    a.re.numerator * (s // a.re.denominator),
-                    a.im.numerator * (s // a.im.denominator),
-                )
-            row.append((col_of[c], a))
-        rows.append((s, row))
-        scale = lcm(scale, s)
-    return rows, len(col_of), scale
+        by_row.setdefault(r, []).append((col_of.setdefault(c, len(col_of)), amp))
+    amps = [a for a in matrix.entries.values() if not isinstance(a, Parameter)]
+    scale = lcm(*{q.denominator for a in amps for q in (a.re, a.im)})
+    return list(by_row.values()), len(col_of), scale
 
 
 def _pass(rows, cols: int, scale: int, p: int, assignment=None) -> int:
     """Rank mod p of the compressed matrix, parameters set by ``assignment``.
 
-    Without an assignment a parametric entry raises
-    :class:`PolicyMismatchError`.  That check precedes the one that p
-    divides no denominator, so the error does not depend on term order.
+    A parameter reads as its drawn value.  Without an assignment it
+    raises :class:`PolicyMismatchError`.  That check precedes the one
+    that p divides no denominator, so the error does not depend on term
+    order; until then such a denominator is not inverted but read as 0.
     """
     re = np.zeros((len(rows), cols), dtype=np.int64)
     im = np.zeros((len(rows), cols), dtype=np.int64)
-    for r, (s, row) in enumerate(rows):
+    inverse: dict[int, int] = {}
+    for r, row in enumerate(rows):
         for c, x in row:
             if isinstance(x, Parameter):
                 if assignment is None:
                     raise PolicyMismatchError(
                         "matrix has parametric entries; use the generic policy"
                     )
-                a, b = assignment[x.name]
-                re[r, c], im[r, c] = a * s % p, b * s % p
-            else:
-                re[r, c], im[r, c] = x[0] % p, x[1] % p
+                re[r, c], im[r, c] = assignment[x.name]
+                continue
+            a, b = x.re, x.im
+            u, v = a.denominator, b.denominator
+            if u not in inverse:
+                inverse[u] = pow(u, -1, p) if u % p else 0
+            if v not in inverse:
+                inverse[v] = pow(v, -1, p) if v % p else 0
+            re[r, c], im[r, c] = a.numerator * inverse[u] % p, b.numerator * inverse[v] % p
     if scale % p == 0:
         raise PrimeClashError(f"prime {p} divides a denominator")
     return int(rank_mod_gaussian(re, im, p))
@@ -272,7 +265,7 @@ def _term_rank(rows) -> int:
     leaves the matching unchanged, so the columns it visited stay dead
     until the next augmentation and ``seen`` is cleared only then.
     """
-    support = [[c for c, _ in row] for _, row in rows]
+    support = [[c for c, _ in row] for row in rows]
     owner: dict[int, int] = {}  # column -> the row matched to it
     seen: set[int] = set()
     for start in range(len(support)):
@@ -316,7 +309,7 @@ def exact_rank(
       a pass falls below the term rank.  ``None`` means no bound.
     * "hadamard": the product P of the primes used satisfies P**2 > H,
       with H the product of the r + 1 largest squared row norms of the
-      row-cleared Gaussian-integer matrix.
+      Gaussian-integer matrix with each row cleared by its own denominators' lcm.
 
     A parametric entry raises :class:`PolicyMismatchError` in the first
     pass.
@@ -325,8 +318,8 @@ def exact_rank(
     term in its Leibniz expansion, whose k entries lie in distinct rows
     and columns of the support: a matching of size k.
 
-    Proof of the Hadamard bound.  Clearing a row's denominators scales it
-    by an integer that p does not divide, so the cleared matrix has the
+    Proof of the Hadamard bound.  A pass reads each cleared row scaled by
+    s^-1 mod p (see the module docstring), so the cleared matrix has the
     same rank mod p, at most r.  Every (r+1)-minor of it is therefore a
     Gaussian integer divisible by p: a prime p == 3 (mod 4) stays prime
     in Z[i], so Z[i]/(p) is the field GF(p)[i].  Distinct rational primes
@@ -355,10 +348,12 @@ def exact_rank(
             if value == ceiling:
                 break
         if norms is None:
-            norms = sorted(
-                (sum(a * a + b * b for _, (a, b) in row) for _, row in rows),
-                reverse=True,
-            )
+            norms = []
+            for row in rows:
+                parts = [q for _, a in row for q in (a.re, a.im)]
+                s = lcm(*(q.denominator for q in parts))
+                norms.append(sum((q.numerator * (s // q.denominator)) ** 2 for q in parts))
+            norms.sort(reverse=True)
         product *= p
         if product * product > prod(norms[: value + 1]):
             break
@@ -397,7 +392,7 @@ def generic_rank(
     else:
         _check_prime(p)
     names = sorted(
-        {x.name for _, row in rows for _, x in row if isinstance(x, Parameter)}
+        {x.name for row in rows for _, x in row if isinstance(x, Parameter)}
     )
     best = 0
     for _ in range(trials):

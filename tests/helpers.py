@@ -1,12 +1,12 @@
 """Shared constructions for the test suite.
 
 Random states, random invertible local matrices and their action on one
-party, the four reference states exercised throughout, builders for dense matrices, transposes and
-line-grammar text, and two reference ranks that share no code
-with the library's modular routes: fraction-free Bareiss elimination and
-exhaustive minors.  An exhaustive term rank checks the structural bound.
-Every generator takes an explicit ``random.Random`` so tests stay
-reproducible.
+party, the four reference states exercised throughout, builders for dense
+matrices, transposes and line-grammar text, and reference ranks that
+share no code with the library's routes: fraction-free Bareiss
+elimination, exhaustive minors and plain elimination over GF(p)[i].  An
+exhaustive term rank checks the structural bound.  Every generator takes
+an explicit ``random.Random`` so tests stay reproducible.
 """
 
 from __future__ import annotations
@@ -386,6 +386,30 @@ def _bareiss_rank(mat: list[list[GaussInt]]) -> int:
                 row_i[j] = _gdiv_exact(num, prev) if prev != (1, 0) else num
             row_i[col] = (0, 0)
         prev = pivot
+        rank += 1
+    return rank
+
+
+def gf_rank(re, im, p):
+    """Rank over GF(p)[i] by plain elimination on Python ints, row by row."""
+    rows, cols = re.shape
+    m = [[(int(re[r, c]), int(im[r, c])) for c in range(cols)] for r in range(rows)]
+    rank = 0
+    for col in range(cols):
+        piv = next((r for r in range(rank, rows) if m[r][col] != (0, 0)), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        a, b = m[rank][col]
+        norm_inv = pow(a * a + b * b, -1, p)
+        inv = (a * norm_inv % p, -b * norm_inv % p)
+        for r in range(rank + 1, rows):
+            x, y = m[r][col]
+            gr, gi = (x * inv[0] - y * inv[1]) % p, (x * inv[1] + y * inv[0]) % p
+            m[r] = [
+                ((u - gr * s + gi * t) % p, (v - gr * t - gi * s) % p)
+                for (u, v), (s, t) in zip(m[r], m[rank])
+            ]
         rank += 1
     return rank
 

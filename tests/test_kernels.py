@@ -7,6 +7,7 @@ import pytest
 
 from multirank.rank import PRIMES_3_MOD_4
 from multirank import kernels
+from helpers import gf_rank
 
 
 def rand_arrays(rng, rows, cols, p, density=0.8):
@@ -71,30 +72,6 @@ def test_pure_kernel_handles_worst_case_values():
 
 def test_selected_backend_reported():
     assert kernels.BACKEND == "python"
-
-
-def gf_rank(re, im, p):
-    """Rank over GF(p)[i] by plain elimination on Python ints, row by row."""
-    rows, cols = re.shape
-    m = [[(int(re[r, c]), int(im[r, c])) for c in range(cols)] for r in range(rows)]
-    rank = 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, rows) if m[r][col] != (0, 0)), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        a, b = m[rank][col]
-        norm_inv = pow(a * a + b * b, -1, p)
-        inv = (a * norm_inv % p, -b * norm_inv % p)
-        for r in range(rank + 1, rows):
-            x, y = m[r][col]
-            gr, gi = (x * inv[0] - y * inv[1]) % p, (x * inv[1] + y * inv[0]) % p
-            m[r] = [
-                ((u - gr * s + gi * t) % p, (v - gr * t - gi * s) % p)
-                for (u, v), (s, t) in zip(m[r], m[rank])
-            ]
-        rank += 1
-    return rank
 
 
 def from_entries(rows, cols, entries):

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 from math import isqrt, prod
 
+import numpy as np
 import pytest
 
 import multirank.rank as rank_module
@@ -32,8 +33,10 @@ from multirank import (
 )
 from multirank.rank import PRIMES_3_MOD_4
 from helpers import (
+    _cleared_integer_rows,
     bareiss_rank,
     gauss,
+    gf_rank,
     matrix_from_dense,
     oracle_rank_minors,
     oracle_term_rank,
@@ -354,9 +357,10 @@ class TestModularRank:
             modular_rank(matrix_from_dense([[1]]), 2**61 - 1)
 
     def test_prime_dividing_denominator(self):
-        matrix = matrix_from_dense([[Fraction(1, 7), 1]])
-        with pytest.raises(PrimeClashError):
-            modular_rank(matrix, 7)
+        # in the second input a multiple of p follows a clean fraction
+        for dense in ([[Fraction(1, 7), 1]], [[Fraction(1, 2), Fraction(1, 21)]]):
+            with pytest.raises(PrimeClashError):
+                modular_rank(matrix_from_dense(dense), 7)
 
     def test_never_exceeds_exact(self):
         rng = random.Random(53)
@@ -372,6 +376,32 @@ class TestModularRank:
             if not any(hits):
                 misses += 1  # logged, not asserted: astronomically rare
         assert misses <= 1
+
+    def test_fractional_matrices_match_plain_elimination_of_cleared_rows(self):
+        # a pass reads num * den^-1 mod p where the reference clears each
+        # row of its denominators.  Every other matrix gets a row that is
+        # congruent mod p to a multiple of another, so its modular rank
+        # falls below the exact one and a residue read wrongly shows.
+        rng = random.Random(61)
+        below = 0
+        for p in (7, 11, 19, 23, PRIMES_3_MOD_4[0]):
+            for k in range(80):
+                rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+                dense = [
+                    [rand_gauss_fraction(rng) if rng.random() < 0.7 else gauss(0) for _ in range(cols)]
+                    for _ in range(rows)
+                ]
+                if k % 2:
+                    g, base = rand_gauss_fraction(rng), rng.choice(dense)
+                    dense.append([g * x + gauss(p) * rand_gauss_fraction(rng) for x in base])
+                matrix = matrix_from_dense(dense)
+                cleared = _cleared_integer_rows(matrix.rows, cols, matrix.entries)
+                re = np.array([[x % p for x, _ in row] for row in cleared], dtype=np.int64)
+                im = np.array([[y % p for _, y in row] for row in cleared], dtype=np.int64)
+                value = modular_rank(matrix, p).value
+                assert value == gf_rank(re, im, p)
+                below += value < bareiss_rank(matrix)
+        assert below >= 100
 
 
 class TestGenericRank:
@@ -393,9 +423,13 @@ class TestGenericRank:
         assert generic_rank(matrix, trials=4, seed=9).value == 2
 
     def test_prime_dividing_denominator(self):
-        matrix = matrix_from_dense([[Fraction(1, 7), "a"], [1, 1]])
-        with pytest.raises(PrimeClashError):
-            generic_rank(matrix, trials=2, p=7)
+        # in the second input a multiple of p follows a clean fraction
+        for dense in (
+            [[Fraction(1, 7), "a"], [1, 1]],
+            [[Fraction(1, 2), "a"], [1, Fraction(1, 21)]],
+        ):
+            with pytest.raises(PrimeClashError):
+                generic_rank(matrix_from_dense(dense), trials=2, p=7)
 
     def test_monotone_in_trials(self):
         state = parse_state("dims 2 2 ; a |00> ; b |11> ; +1 |01>")
