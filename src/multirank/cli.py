@@ -14,9 +14,10 @@ level's ``ranks`` and no verdict.  A JSON rank entry is the cut, its
 rank, and every other field of its :class:`~multirank.rank.RankResult`
 that is set.  ``--dump-matrices`` prints the cuts that the run ranks.
 
-Exit codes: 0 success, 2 a bad flag or unreadable input, otherwise the
-``exit_code`` of the :class:`~multirank.errors.MultirankError` raised
-(see :mod:`multirank.errors`).  Runs are reproducible: the seed
+Exit codes: 0 success, 1 a closed stdout (no traceback, nothing on
+stderr), 2 a bad flag or unreadable input, otherwise the ``exit_code`` of
+the :class:`~multirank.errors.MultirankError` raised (see
+:mod:`multirank.errors`).  Runs are reproducible: the seed
 defaults to a fixed value and all randomness derives from it.
 """
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 from math import comb, prod
@@ -154,7 +156,15 @@ def main(argv: Optional[list[str]] = None) -> int:
             profile = MultirankProfile(state.dims, (entries,), policy, seed)
     except MultirankError as exc:
         return _fail(str(exc), exc.exit_code)
-    print(_report(profile, level, args.dedupe, args.format != "text"))
+    report = _report(profile, level, args.dedupe, args.format != "text")
+    try:
+        print(report)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; aim it at devnull so the flush at exit
+        # cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

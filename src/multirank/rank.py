@@ -24,13 +24,15 @@ Three routes, one contract:
 
 Every route starts from :func:`_compress`, which discards all-zero rows
 and columns, so the working matrix is never larger than the number of
-nonzero entries on a side.  A modular pass (:func:`_pass`) is the one
-place where amplitudes become numbers, read as num * den^-1 mod p: the
-row-cleared matrix with each row scaled by s^-1 mod p, s the lcm of the
-row's denominators, which p does not divide.  So every modular rank,
-pass count, certificate and generic draw is the cleared matrix's.
-:func:`rank_dispatch` glues the routes together under a policy; the
-exact and fast policies are two names for :func:`exact_rank`.
+nonzero entries on a side, and collects the denominators and parameter
+names, so that a pass refuses a matrix before it fills an array.  A
+modular pass (:func:`_pass`) is the one place where amplitudes become
+numbers, read as num * den^-1 mod p: the row-cleared matrix with each
+row scaled by s^-1 mod p, s the lcm of the row's denominators, which p
+does not divide.  So every modular rank, pass count, certificate and
+generic draw is the cleared matrix's.  :func:`rank_dispatch` glues the
+routes together under a policy; the exact and fast policies are two
+names for :func:`exact_rank`.
 """
 
 from __future__ import annotations
@@ -97,6 +99,10 @@ class RankPolicy:
     prime: Optional[int] = None
     trials: Optional[int] = None
 
+    def __post_init__(self):
+        if self.kind == "generic" and self.trials is None:
+            object.__setattr__(self, "trials", DEFAULT_GENERIC_TRIALS)
+
     @classmethod
     def exact(cls) -> "RankPolicy":
         return cls("exact")
@@ -160,48 +166,48 @@ def parse_policy(text: str) -> RankPolicy:
 def _compress(matrix: FlattenedMatrix):
     """Nonzero rows and cols only: the nonzero entries, grouped by row.
 
-    Returns ``(rows, cols, scale)``.  ``rows`` lists, in first-seen order,
-    ``[(col, amplitude), ...]``, with cols renumbered in first-seen order.
-    ``scale`` is the lcm of every denominator.
+    Returns ``(rows, cols, dens, names)``.  ``rows`` lists, in first-seen
+    order, ``[(col, amplitude), ...]``, with cols renumbered in first-seen
+    order.  ``dens`` is the set of the Gaussian entries' denominators and
+    ``names`` the sorted parameter names, empty when there are none.
     """
     by_row: dict[int, list] = {}
     col_of: dict[int, int] = {}
     for (r, c), amp in matrix.entries.items():
         by_row.setdefault(r, []).append((col_of.setdefault(c, len(col_of)), amp))
     amps = [a for a in matrix.entries.values() if not isinstance(a, Parameter)]
-    scale = lcm(*{q.denominator for a in amps for q in (a.re, a.im)})
-    return list(by_row.values()), len(col_of), scale
+    dens = {q.denominator for a in amps for q in (a.re, a.im)}
+    names = []
+    if len(amps) < len(matrix.entries):
+        names = sorted({a.name for a in matrix.entries.values() if isinstance(a, Parameter)})
+    return list(by_row.values()), len(col_of), dens, names
 
 
-def _pass(rows, cols: int, scale: int, p: int, assignment=None) -> int:
+def _pass(compressed, p: int, assignment=None) -> int:
     """Rank mod p of the compressed matrix, parameters set by ``assignment``.
 
-    A parameter reads as its drawn value.  Without an assignment it
-    raises :class:`PolicyMismatchError`.  That check precedes the one
-    that p divides no denominator, so the error does not depend on term
-    order; until then such a denominator is not inverted but read as 0.
+    A parameter reads as its drawn value.  Before anything is filled, a
+    parametric matrix without an assignment raises
+    :class:`PolicyMismatchError` and then a p that divides a denominator
+    raises :class:`PrimeClashError`, so the error does not depend on
+    term order.
     """
+    rows, cols, dens, names = compressed
+    if names and assignment is None:
+        raise PolicyMismatchError("matrix has parametric entries; use the generic policy")
+    if any(d % p == 0 for d in dens):
+        raise PrimeClashError(f"prime {p} divides a denominator")
+    inverse = {d: pow(d, -1, p) for d in dens}
     re = np.zeros((len(rows), cols), dtype=np.int64)
     im = np.zeros((len(rows), cols), dtype=np.int64)
-    inverse: dict[int, int] = {}
     for r, row in enumerate(rows):
         for c, x in row:
             if isinstance(x, Parameter):
-                if assignment is None:
-                    raise PolicyMismatchError(
-                        "matrix has parametric entries; use the generic policy"
-                    )
                 re[r, c], im[r, c] = assignment[x.name]
                 continue
             a, b = x.re, x.im
-            u, v = a.denominator, b.denominator
-            if u not in inverse:
-                inverse[u] = pow(u, -1, p) if u % p else 0
-            if v not in inverse:
-                inverse[v] = pow(v, -1, p) if v % p else 0
-            re[r, c], im[r, c] = a.numerator * inverse[u] % p, b.numerator * inverse[v] % p
-    if scale % p == 0:
-        raise PrimeClashError(f"prime {p} divides a denominator")
+            re[r, c] = a.numerator * inverse[a.denominator] % p
+            im[r, c] = b.numerator * inverse[b.denominator] % p
     return int(rank_mod_gaussian(re, im, p))
 
 
@@ -230,23 +236,21 @@ def _is_prime(n: int) -> bool:
     return all(n % q for q in range(3, isqrt(n) + 1, 2))
 
 
-def _admissible_primes(scale: int, table=PRIMES_3_MOD_4):
-    """Primes p == 3 (mod 4) below 2**31 that divide no denominator.
+def _admissible_primes(dens, table=PRIMES_3_MOD_4):
+    """Primes p == 3 (mod 4) below 2**31 that divide none of ``dens``.
 
-    ``scale`` is the lcm of the denominators (see :func:`_compress`).
     First ``table`` in its order, then the smaller primes, descending.
     """
     below = (p for p in range(PRIMES_3_MOD_4[-1] - 4, 2, -4) if _is_prime(p))
     for p in chain(table, below):
-        if scale % p:
+        if all(d % p for d in dens):
             yield p
 
 
 def modular_rank(matrix: FlattenedMatrix, p: int) -> RankResult:
     """Rank over GF(p)[i]; a guaranteed lower bound for the exact rank."""
     _check_prime(p)
-    rows, cols, scale = _compress(matrix)
-    value = _pass(rows, cols, scale, p)
+    value = _pass(_compress(matrix), p)
     return RankResult(value, mode="modular", certainty="probabilistic", prime=p)
 
 
@@ -329,15 +333,15 @@ def exact_rank(
     rank is r.  When a prime raises r, the earlier primes still gave
     ranks <= r, so P keeps them.
     """
-    rows, cols, scale = _compress(matrix)
+    compressed = rows, cols, dens, _ = _compress(matrix)
     if not rows:
         return RankResult(
             0, mode="exact", certainty="exact", certificate="structural", primes=0
         )
     value, product, norms = 0, 1, None
     ceiling, certificate = min(len(rows), cols), "structural"
-    for passes, p in enumerate(_admissible_primes(scale), start=1):
-        value = max(value, _pass(rows, cols, scale, p))
+    for passes, p in enumerate(_admissible_primes(dens), start=1):
+        value = max(value, _pass(compressed, p))
         if value == ceiling:
             break
         if passes == 1:
@@ -384,22 +388,19 @@ def generic_rank(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(f"generic:{seed}")
-    rows, cols, scale = _compress(matrix)
+    compressed = rows, cols, dens, names = _compress(matrix)
     if p is None:
         table = list(PRIMES_3_MOD_4)
         rng.shuffle(table)
-        p = next(_admissible_primes(scale, table))
+        p = next(_admissible_primes(dens, table))
     else:
         _check_prime(p)
-    names = sorted(
-        {x.name for row in rows for _, x in row if isinstance(x, Parameter)}
-    )
     best = 0
     for _ in range(trials):
         assignment = {
             name: (rng.randrange(p), rng.randrange(p)) for name in names
         }
-        best = max(best, _pass(rows, cols, scale, p, assignment))
+        best = max(best, _pass(compressed, p, assignment))
         if best == min(len(rows), cols) or not names:
             break
     per_trial = min(Fraction(min(len(rows), cols), p), 1)
@@ -431,8 +432,7 @@ def rank_dispatch(
     if policy.kind in ("exact", "fast"):
         return exact_rank(matrix, upper)
     if policy.kind == "generic":
-        trials = DEFAULT_GENERIC_TRIALS if policy.trials is None else policy.trials
-        return generic_rank(matrix, trials=trials, p=policy.prime, seed=seed)
+        return generic_rank(matrix, trials=policy.trials, p=policy.prime, seed=seed)
     if policy.kind == "modular":
         if policy.prime is None:
             raise ValueError("modular policy needs an explicit prime")

@@ -1,12 +1,14 @@
 """Shared constructions for the test suite.
 
 Random states, random invertible local matrices and their action on one
-party, the four reference states exercised throughout, builders for dense
-matrices, transposes and line-grammar text, and reference ranks that
-share no code with the library's routes: fraction-free Bareiss
-elimination, exhaustive minors and plain elimination over GF(p)[i].  An
-exhaustive term rank checks the structural bound.  Every generator takes
-an explicit ``random.Random`` so tests stay reproducible.
+party, the four reference states exercised throughout, two known-answer
+families (qubit graph states and Dicke states) with their closed-form
+cut ranks, builders for dense matrices, transposes and line-grammar
+text, and reference ranks that share no code with the library's routes:
+fraction-free Bareiss elimination, exhaustive minors and plain
+elimination over GF(p)[i].  An exhaustive term rank checks the
+structural bound.  Every generator takes an explicit ``random.Random``
+so tests stay reproducible.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 from typing import Sequence
 
@@ -77,6 +79,49 @@ REFERENCE_PROFILES = {
         [[3] * 6, [3, 4, 4, 4, 4, 4, 4, 4, 4, 3, 4, 4, 4, 4, 3], [4] * 20],
     ),
 }
+
+
+def graph_state(n: int, edges) -> StateTensor:
+    """The qubit graph state: amplitude (-1)^(sum over edges of x_i x_j).
+
+    ``edges`` are pairs of 1-based parties.
+    """
+    terms = [
+        (x, (-1) ** sum(x[i - 1] & x[j - 1] for i, j in edges))
+        for x in product((0, 1), repeat=n)
+    ]
+    return build_state((2,) * n, terms)
+
+
+def graph_cut_rank(edges, parties) -> int:
+    """2 ** (rank over GF(2) of the adjacency block between the cut's sides).
+
+    Hein, Eisert & Briegel, Phys. Rev. A 69, 062311 (2004).
+    """
+    side = set(parties)
+    rows = dict.fromkeys(side, 0)  # party in the cut -> its crossing edges as bits
+    for i, j in edges:
+        if (i in side) != (j in side):
+            inner, outer = (i, j) if i in side else (j, i)
+            rows[inner] ^= 1 << outer
+    basis: list[int] = []  # no row holds the leading bit of an earlier one
+    for row in rows.values():
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+    return 2 ** len(basis)
+
+
+def dicke_state(n: int, m: int) -> StateTensor:
+    """D(n, m): every n-qubit ket with m ones, each with amplitude 1."""
+    return build_state((2,) * n, [(x, 1) for x in product((0, 1), repeat=n) if sum(x) == m])
+
+
+def dicke_cut_rank(n: int, m: int, k: int) -> int:
+    """Rank of D(n, m) across a cut of k parties: D(n, m) is the sum over j
+    of D(k, j) (x) D(n - k, m - j), one term per j that both sides allow."""
+    return min(k, m, n - k, n - m) + 1
 
 
 def matrix_from_dense(rows) -> FlattenedMatrix:

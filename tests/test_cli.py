@@ -747,3 +747,23 @@ def test_single_level_text_is_the_full_runs_brace_list(capsys, path, dedupe):
     for k, expected in enumerate(lists, start=1):
         assert main([str(path), *flags, *dedupe, "--levels", str(k)]) == 0
         assert capsys.readouterr().out == expected + "\n"
+
+
+def test_closed_stdout_is_exit_1_without_a_traceback(tmp_path):
+    # the 10-qubit W state's JSON report is 252,241 bytes, far above a
+    # 64 KiB pipe buffer, so the write fails once the reader has gone
+    n = 10
+    path = tmp_path / "w10.state"
+    kets = ["0" * i + "1" + "0" * (n - 1 - i) for i in range(n)]
+    path.write_text("dims " + " ".join(["2"] * n) + "\n" + "".join(f"1 |{k}>\n" for k in kets))
+    src = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    with subprocess.Popen(
+        [sys.executable, "-m", "multirank", str(path), "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, src))},
+    ) as child:
+        assert child.stdout.read(1) == b"{"
+        child.stdout.close()
+        err = child.stderr.read()
+        assert (child.wait(timeout=60), err) == (1, b"")

@@ -302,7 +302,7 @@ class TestTermRank:
                     for r in range(height)
                 ]
             )
-            rows, cols, _ = rank_module._compress(matrix)
+            rows, cols, *_ = rank_module._compress(matrix)
             term = rank_module._term_rank(rows)
             assert bareiss_rank(matrix) <= term == oracle_term_rank(matrix)
             assert term <= min(len(rows), cols)
@@ -326,7 +326,7 @@ class TestTermRank:
             entries[(i, i + 1)] = entries[(i, i)] = one
         for r in range(n - 1, n + 100):
             entries[(r, n - 1)] = one
-        rows, _, _ = rank_module._compress(FlattenedMatrix(n + 100, n, entries))
+        rows, *_ = rank_module._compress(FlattenedMatrix(n + 100, n, entries))
         assert rank_module._term_rank(rows) == n
 
 
@@ -555,6 +555,10 @@ class TestPolicyParsing:
     )
     def test_label_parses_back(self, text):
         assert parse_policy(parse_policy(text).label()) == parse_policy(text)
+
+    def test_generic_without_trials_takes_the_default(self):
+        # the label a report prints must parse back to the same policy
+        assert parse_policy(RankPolicy("generic").label()) == RankPolicy.generic()
 
     @pytest.mark.parametrize("text", ["", "mod:", "mod:x", "generic:a,b", "best"])
     def test_invalid(self, text):
