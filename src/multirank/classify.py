@@ -2,16 +2,18 @@
 
 For a nonzero pure state, a flattening has rank 1 exactly when the
 state is a product across that cut.  Hence: genuinely multipartite
-entangled iff every rank in the profile exceeds 1, and fully product
-iff every single-party rank equals 1.  Verdicts inherit the certainty
-of the profile's rank policy; under the generic policy they hold for
-all parameter values outside a measure-zero set.
+entangled iff no cut is a product cut, and fully product iff every
+single-party rank equals 1.  A state that vanishes mod the run's prime
+has ranks 0 and no verdict.  Verdicts inherit the certainty of the
+profile's rank policy; under the generic policy they hold for all
+parameter values outside a measure-zero set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import ZeroStateError
 from .partition import Bipartition
 from .profile import MultirankProfile
 
@@ -31,23 +33,21 @@ def is_gme(profile: MultirankProfile) -> bool:
     Levels stop at floor(n/2), which still covers every bipartition:
     the complementary flattening is a transpose with the same rank.
     """
-    return all(result.value > 1 for level in profile.levels for _, result in level)
+    return verdict(profile).gme
 
 
 def is_fully_product(profile: MultirankProfile) -> bool:
     """True iff every single-party flattening has rank 1."""
-    return all(result.value == 1 for _, result in profile.levels[0])
+    return verdict(profile).fully_product
 
 
 def verdict(profile: MultirankProfile) -> EntanglementVerdict:
-    cuts = tuple(
-        bp
-        for level in profile.levels
-        for bp, result in level
-        if result.value == 1
-    )
+    first = profile.levels[0][0][1]
+    if first.value == 0:  # every flattening holds every term, so every rank is 0
+        raise ZeroStateError(f"every rank is 0: the state vanishes mod {first.prime}")
+    cuts = tuple(bp for level in profile.levels for bp, result in level if result.value == 1)
     return EntanglementVerdict(
-        gme=is_gme(profile),
-        fully_product=is_fully_product(profile),
+        gme=not cuts,
+        fully_product=all(result.value == 1 for _, result in profile.levels[0]),
         product_cuts=cuts,
     )

@@ -154,9 +154,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             entries = profile_level(state, level, policy, seed)
             profile = MultirankProfile(state.dims, (entries,), policy, seed)
+        report = _report(profile, level, args.dedupe, args.format != "text")
     except MultirankError as exc:
         return _fail(str(exc), exc.exit_code)
-    report = _report(profile, level, args.dedupe, args.format != "text")
     try:
         print(report)
         sys.stdout.flush()

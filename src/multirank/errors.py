@@ -1,9 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Each class carries the CLI's exit code for it in ``exit_code``:
-parse/validation failures exit 2, a state whose terms all cancel exits
-3, and a rank-policy/state mismatch (parametric amplitudes under a
-non-generic policy) exits 4.
+parse/validation failures exit 2, a state that is zero (all terms cancel)
+or zero mod the run's prime (no verdict) exits 3, and a rank-policy/state
+mismatch (parametric amplitudes under a non-generic policy) exits 4.
 """
 
 
@@ -39,7 +39,7 @@ class InvalidStateError(MultirankError):
 
 
 class ZeroStateError(MultirankError):
-    """Every term cancelled; the zero state has no rank profile."""
+    """All terms cancel (no profile), or all ranks are 0 mod the prime (no verdict)."""
 
     exit_code = 3
 

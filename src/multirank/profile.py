@@ -7,9 +7,9 @@ master seed, so a rank depends on its matrix and the seed alone, never
 on where the matrix sits: under the generic policy the flattenings of
 one state share one automatic prime and one random point per trial, and
 a cut and its complement, transposes of each other, get the same rank.
-Under ``exact`` and ``fast`` the ranks certified so far bound the next
-cut (r(A | B) <= r(A) * r(B)), which can close a rank in fewer passes:
-the value never depends on that record, its certificate can.
+Every certified rank bounds the next cut (r(A | B) <= r(A) * r(B)),
+which can close a rank in fewer passes: the value never depends on that
+record, its certificate can.
 """
 
 from __future__ import annotations
@@ -68,20 +68,19 @@ def _profile(
 ) -> tuple[LevelEntries, ...]:
     """The one loop: rank each bipartition of each group, in order.
 
-    Under ``exact`` and ``fast`` it records every certified rank by the
-    bitmask of its parties, and offers ``rank_dispatch`` the product
-    bound of the splits whose ranks it has recorded.  Lower levels come
-    first, so every split of a cut is ranked before the cut.
+    It records each certified rank by the bitmask of its parties and
+    offers ``rank_dispatch`` the product bound of the recorded splits.
+    Lower levels come first, so every split of a cut is ranked before it.
     """
-    record = {} if policy.kind in ("exact", "fast") else None
+    record = {}
     levels = []
     for bipartitions in groups:
         entries = []
         for bp in bipartitions:
             mask = sum(1 << (j - 1) for j in bp.parties)
-            upper = None if record is None else partial(_split_bound, record, mask)
+            upper = partial(_split_bound, record, mask)
             result = rank_dispatch(flatten(state, bp), policy, seed, upper)
-            if record is not None and result.certainty == "exact":
+            if result.certainty == "exact":
                 record[mask] = result.value
             entries.append((bp, result))
         levels.append(tuple(entries))

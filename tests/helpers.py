@@ -1,14 +1,14 @@
 """Shared constructions for the test suite.
 
 Random states, random invertible local matrices and their action on one
-party, the four reference states exercised throughout, two known-answer
-families (qubit graph states and Dicke states) with their closed-form
-cut ranks, builders for dense matrices, transposes and line-grammar
-text, and reference ranks that share no code with the library's routes:
-fraction-free Bareiss elimination, exhaustive minors and plain
-elimination over GF(p)[i].  An exhaustive term rank checks the
-structural bound.  Every generator takes an explicit ``random.Random``
-so tests stay reproducible.
+party, the four reference states exercised throughout, known-answer
+families (qubit graph states, qubit and qudit Dicke states, and the
+states of linear codes) with their closed-form cut ranks, builders for
+dense matrices, transposes and line-grammar text, and reference ranks
+that share no code with the library's routes: fraction-free Bareiss
+elimination, exhaustive minors and plain elimination over GF(p)[i].  An
+exhaustive term rank checks the structural bound.  Every generator takes
+an explicit ``random.Random`` so tests stay reproducible.
 """
 
 from __future__ import annotations
@@ -122,6 +122,46 @@ def dicke_cut_rank(n: int, m: int, k: int) -> int:
     """Rank of D(n, m) across a cut of k parties: D(n, m) is the sum over j
     of D(k, j) (x) D(n - k, m - j), one term per j that both sides allow."""
     return min(k, m, n - k, n - m) + 1
+
+
+def qudit_dicke_state(m: Sequence[int]) -> StateTensor:
+    """D(m): every distinct permutation of the ket holding m[t] copies of
+    level t, each with amplitude 1; d = len(m) levels on sum(m) parties."""
+    n, d = sum(m), len(m)
+    kets = [x for x in product(range(d), repeat=n) if all(x.count(t) == c for t, c in enumerate(m))]
+    return build_state((d,) * n, [(x, 1) for x in kets])
+
+
+def qudit_dicke_cut_rank(m: Sequence[int], k: int) -> int:
+    """Rank of D(m) across a cut of k parties: D(m) is the sum over j of
+    D(j) (x) D(m - j), one term per j with sum(j) = k and 0 <= j <= m."""
+    return sum(sum(j) == k for j in product(*(range(c + 1) for c in m)))
+
+
+def _codewords(generator: Sequence[Sequence[int]], q: int) -> set[tuple[int, ...]]:
+    """The linear code {x G mod q} spanned by the rows of ``generator``."""
+    return {
+        tuple(sum(a * g for a, g in zip(x, column)) % q for column in zip(*generator))
+        for x in product(range(q), repeat=len(generator))
+    }
+
+
+def code_state(generator: Sequence[Sequence[int]], q: int) -> StateTensor:
+    """The sum of |c> over the codewords c of the code over GF(q), q prime."""
+    return build_state((q,) * len(generator[0]), [(c, 1) for c in _codewords(generator, q)])
+
+
+def code_cut_rank(generator: Sequence[Sequence[int]], q: int, parties) -> int:
+    """|C| / (|C_S| * |C_T|) for the cut S = ``parties`` and T its complement,
+    with C_S the codewords that vanish off S.
+
+    Helwig, Cui, Latorre, Riera & Lo, Phys. Rev. A 86, 052335 (2012).
+    """
+    code = _codewords(generator, q)
+    outside = [i for i in range(len(generator[0])) if i + 1 not in parties]
+    in_s = sum(all(c[i] == 0 for i in outside) for c in code)
+    in_t = sum(all(c[j - 1] == 0 for j in parties) for c in code)
+    return len(code) // (in_s * in_t)
 
 
 def matrix_from_dense(rows) -> FlattenedMatrix:

@@ -2,8 +2,11 @@
 
 import random
 
+import pytest
+
 from multirank import (
     RankPolicy,
+    ZeroStateError,
     build_state,
     is_fully_product,
     is_gme,
@@ -104,3 +107,39 @@ def test_verdict_invariant_under_local_operations():
         after = multirank_profile(after_state, RankPolicy.exact())
         assert before.rank_lists() == after.rank_lists()
         assert verdict(before) == verdict(after)
+
+
+@pytest.mark.parametrize(
+    "coeff,policy,seed",
+    [(7, RankPolicy.modular(7), 1729), ("a", RankPolicy.generic(1, 3), 0)],
+    ids=["mod-7", "generic-3"],
+)
+def test_verdict_refuses_a_profile_that_vanishes_mod_its_prime(coeff, policy, seed):
+    state = build_state((2, 2), [((0, 0), coeff), ((1, 1), coeff)])
+    p = multirank_profile(state, policy, seed)
+    assert p.rank_lists() == [[0, 0]]
+    with pytest.raises(ZeroStateError, match=f"vanishes mod {policy.prime}"):
+        verdict(p)
+
+
+def test_verdict_reads_its_product_cuts():
+    # a rank of 0 mod 3 makes every rank 0, and the verdict refuses; otherwise
+    # gme iff every rank exceeds 1, and the helpers return the verdict's fields
+    rng = random.Random(59)
+    vanished = 0
+    for _ in range(60):
+        p = multirank_profile(rand_state(rng, max_n=5), RankPolicy.modular(3))
+        values = [r.value for level in p.levels for _, r in level]
+        if 0 in values:
+            vanished += 1
+            assert set(values) == {0}
+            with pytest.raises(ZeroStateError):
+                verdict(p)
+            continue
+        v = verdict(p)
+        assert v.gme == all(value > 1 for value in values) == is_gme(p)
+        assert v.fully_product == is_fully_product(p)
+        assert v.product_cuts == tuple(
+            bp for level in p.levels for bp, r in level if r.value == 1
+        )
+    assert 0 < vanished < 60

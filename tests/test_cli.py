@@ -767,3 +767,32 @@ def test_closed_stdout_is_exit_1_without_a_traceback(tmp_path):
         child.stdout.close()
         err = child.stderr.read()
         assert (child.wait(timeout=60), err) == (1, b"")
+
+
+VANISHING = {
+    "mod-7": ("dims 2 2\n7 |00>\n7 |11>\n", ["--rank", "mod:7"], 7),
+    "generic-3": ("dims 2 2\na |00>\na |11>\n", ["--rank", "generic:1,3", "--seed", "0"], 3),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", sorted(VANISHING))
+def test_state_that_vanishes_mod_the_prime_has_no_verdict(tmp_path, capsys, name, fmt):
+    # every rank is 0, so no cut is a product cut and none exceeds 1
+    from multirank.cli import main
+
+    text, flags, prime = VANISHING[name]
+    path = tmp_path / "vanishing.state"
+    path.write_text(text)
+    assert main([str(path), *flags, "--format", fmt]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"multirank: every rank is 0: the state vanishes mod {prime}\n"
+
+
+def test_vanishing_state_still_prints_a_single_level(tmp_path):
+    # a --levels run prints no verdict, and 0 is a valid modular rank
+    doc = tmp_path / "vanishing.state"
+    doc.write_text(VANISHING["mod-7"][0])
+    result = run_cli(str(doc), "--levels", "1", "--rank", "mod:7")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "{0, 0}\n", "")

@@ -3,7 +3,11 @@
 A qubit graph state's rank across a cut is 2 ** (rank over GF(2) of the
 adjacency block between its sides), and the state is GME exactly when
 the graph is connected.  The Dicke state D(n, m) has rank
-min(k, m, n - k, n - m) + 1 across a cut of k parties.
+min(k, m, n - k, n - m) + 1 across a cut of k parties, and the qudit
+Dicke state D(m) has one rank per way to split its level counts m into
+j on the cut and m - j off it.  The state of a linear code C has rank
+|C| / (|C_S| * |C_T|) across the cut S | T, where C_S holds the
+codewords that vanish off S.
 """
 
 import random
@@ -12,7 +16,16 @@ import pytest
 
 from multirank import multirank_profile, profile_level, verdict
 
-from helpers import dicke_cut_rank, dicke_state, graph_cut_rank, graph_state
+from helpers import (
+    code_cut_rank,
+    code_state,
+    dicke_cut_rank,
+    dicke_state,
+    graph_cut_rank,
+    graph_state,
+    qudit_dicke_cut_rank,
+    qudit_dicke_state,
+)
 
 
 def _random_graphs():
@@ -62,6 +75,41 @@ def test_dicke_state_profiles(n):
             for bp, result in level:
                 assert result.certainty == "exact"
                 assert result.value == dicke_cut_rank(n, m, bp.level), (n, m, bp)
+
+
+@pytest.mark.parametrize(
+    "m", [(2, 2, 2), (1, 2, 3), (3, 1, 1, 2), (2, 2, 1, 1), (4, 4), (1,) * 6, (3, 3, 2)]
+)
+def test_qudit_dicke_state_profiles(m):
+    profile = multirank_profile(qudit_dicke_state(m))
+    assert profile.dims.dims == (len(m),) * sum(m)
+    for level in profile.levels:
+        for bp, result in level:
+            assert result.certainty == "exact"
+            assert result.value == qudit_dicke_cut_rank(m, bp.level), (m, bp)
+
+
+# AME(4, 3), and a [6, 3] MDS code over GF(5): Reed-Solomon, extended by the point at infinity
+CODES = {
+    "ame4-3": ([[1, 0, 1, 1], [0, 1, 1, 2]], 3, [[3] * 4, [9] * 6]),
+    "mds6-5": (
+        [[1, 1, 1, 1, 1, 0], [0, 1, 2, 3, 4, 0], [0, 1, 4, 4, 1, 1]],
+        5,
+        [[5] * 6, [25] * 15, [125] * 20],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CODES))
+def test_linear_code_state_profiles(name):
+    generator, q, expected = CODES[name]
+    profile = multirank_profile(code_state(generator, q))
+    assert profile.rank_lists() == expected
+    for level in profile.levels:
+        for bp, result in level:
+            assert result.certainty == "exact"
+            assert result.value == code_cut_rank(generator, q, bp.parties), (name, bp)
+    assert verdict(profile).gme
 
 
 SLICES = {
