@@ -7,39 +7,43 @@ over the complement.  Any fixed bijection gives the same rank; this one
 is chosen so the produced matrices, not just their ranks, are stable and
 reproducible.  The matrix is assembled straight from the sparse terms;
 the dense tensor is never materialized.
+
+The terms come from the state's :class:`~multirank.state.TermTable`,
+built once and shared by every flattening of the state: one matmul of
+the cut's place values with its ket array gives every (row, col), so
+``entries`` keeps the state's term order and the matrix hands the same
+table on to the rank layer.  When d_1 * ... * d_n reaches 2**63 the kets
+are Python ints (numpy's object dtype), since an int64 matmul would wrap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import prod
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import InvalidStateError
 from .gaussian import Amplitude
 from .partition import Bipartition
-from .state import MultiIndex, QuditDims, StateTensor
+from .state import StateTensor, TermTable
 
 
 @dataclass(frozen=True)
 class FlattenedMatrix:
-    """Sparse ``rows x cols`` matrix holding the surviving amplitudes."""
+    """Sparse ``rows x cols`` matrix holding the surviving amplitudes.
+
+    ``table`` holds the amplitudes in the order of ``entries``: the
+    state's table for a flattening, else one read off ``entries``.
+    """
 
     rows: int
     cols: int
     entries: dict[tuple[int, int], Amplitude]
+    table: TermTable = field(default=None, compare=False, repr=False)
 
-
-def row_col_of(
-    index: MultiIndex, bipartition: Bipartition, dims: QuditDims
-) -> tuple[int, int]:
-    """Map one multi-index to its (row, col) position in the flattening."""
-    row = 0
-    for j in bipartition.parties:
-        row = row * dims.dims[j - 1] + index[j - 1]
-    col = 0
-    for j in bipartition.complement:
-        col = col * dims.dims[j - 1] + index[j - 1]
-    return row, col
+    def __post_init__(self):
+        if self.table is None:
+            object.__setattr__(self, "table", TermTable(tuple(self.entries.values())))
 
 
 def flatten(state: StateTensor, bipartition: Bipartition) -> FlattenedMatrix:
@@ -47,6 +51,8 @@ def flatten(state: StateTensor, bipartition: Bipartition) -> FlattenedMatrix:
 
     The shape is the product of the state's local dimensions on each
     side, so the bipartition only has to split the state's parties.
+    Every term's (row, col) is one column of the product of a 2 x n
+    matrix of place values with the transposed ket array.
     """
     dims = state.dims
     labels = bipartition.parties + bipartition.complement
@@ -55,14 +61,17 @@ def flatten(state: StateTensor, bipartition: Bipartition) -> FlattenedMatrix:
             f"bipartition {bipartition.parties}/{bipartition.complement} "
             f"does not partition parties 1..{dims.n}"
         )
-    entries = {
-        row_col_of(index, bipartition, dims): amp for index, amp in state.terms.items()
-    }
-    return FlattenedMatrix(
-        rows=prod(dims.dims[j - 1] for j in bipartition.parties),
-        cols=prod(dims.dims[j - 1] for j in bipartition.complement),
-        entries=entries,
-    )
+    table, d = state.table, dims.dims
+    row, col = [0] * dims.n, [0] * dims.n
+    rows = cols = 1
+    for j in reversed(bipartition.parties):
+        row[j - 1] = rows
+        rows *= d[j - 1]
+    for j in reversed(bipartition.complement):
+        col[j - 1] = cols
+        cols *= d[j - 1]
+    r, c = np.array((row, col), dtype=table.kets.dtype).dot(table.kets.T).tolist()
+    return FlattenedMatrix(rows, cols, dict(zip(zip(r, c), table.amplitudes)), table)
 
 
 def dense_string_rows(matrix: FlattenedMatrix) -> list[list[str]]:

@@ -24,15 +24,21 @@ Three routes, one contract:
 
 Every route starts from :func:`_compress`, which discards all-zero rows
 and columns, so the working matrix is never larger than the number of
-nonzero entries on a side, and collects the denominators and parameter
-names, so that a pass refuses a matrix before it fills an array.  A
-modular pass (:func:`_pass`) is the one place where amplitudes become
-numbers, read as num * den^-1 mod p: the row-cleared matrix with each
-row scaled by s^-1 mod p, s the lcm of the row's denominators, which p
-does not divide.  So every modular rank, pass count, certificate and
-generic draw is the cleared matrix's.  :func:`rank_dispatch` glues the
-routes together under a policy; the exact and fast policies are two
-names for :func:`exact_rank`.
+nonzero entries on a side, and numbers the rest in first-seen order.
+What does not depend on the cut comes from the matrix's
+:class:`~multirank.state.TermTable`, which a flattening shares with
+every other flattening of its state: the denominators and parameter
+names, so that a pass refuses a matrix before it fills an array, and the
+residues.  ``TermTable.residues`` is the one place where amplitudes
+become numbers, read as num * den^-1 mod p once per state and prime; a
+modular pass (:func:`_pass`) fills its arrays from them through one
+index array.  That is the row-cleared matrix with each row scaled by
+s^-1 mod p, s the lcm of the row's denominators, which p does not
+divide.  So every modular rank, pass count, certificate and generic
+draw is the cleared matrix's.  The row lists that the term rank and the
+Hadamard bound read are built only when a route reaches them.
+:func:`rank_dispatch` glues the routes together under a policy; the
+exact and fast policies are two names for :func:`exact_rank`.
 """
 
 from __future__ import annotations
@@ -43,14 +49,15 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain
 from math import isqrt, lcm, log2, prod
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import PolicyMismatchError, PrimeClashError
+from .errors import PolicyMismatchError
 from .flatten import FlattenedMatrix
-from .gaussian import Parameter, parse_integer
+from .gaussian import parse_integer
 from .kernels import rank_mod_gaussian
+from .state import TermTable
 
 # Twenty primes == 3 (mod 4) just below 2**31: large enough that random
 # substitution failures are negligible, small enough for int64 kernels.
@@ -163,52 +170,66 @@ def parse_policy(text: str) -> RankPolicy:
 # Shared plumbing
 
 
-def _compress(matrix: FlattenedMatrix):
-    """Nonzero rows and cols only: the nonzero entries, grouped by row.
+class _Compressed(NamedTuple):
+    """A matrix's nonzero rows and columns, each numbered in first-seen order.
 
-    Returns ``(rows, cols, dens, names)``.  ``rows`` lists, in first-seen
-    order, ``[(col, amplitude), ...]``, with cols renumbered in first-seen
-    order.  ``dens`` is the set of the Gaussian entries' denominators and
-    ``names`` the sorted parameter names, empty when there are none.
+    Entry k of ``matrix.entries`` lies at row r and column c of the
+    compressed matrix, with ``at[k] = r * cols + c``: one index array,
+    through which a pass fills.  ``table`` holds the entries' amplitudes
+    in the same order.
     """
-    by_row: dict[int, list] = {}
+
+    rows: int
+    cols: int
+    at: np.ndarray
+    table: TermTable
+
+
+def _compress(matrix: FlattenedMatrix) -> _Compressed:
+    """Number the nonzero rows and cols of ``matrix`` in first-seen order.
+
+    First-seen order, not sorted order: the kernel swaps in a lone pivot
+    with no arithmetic, and sorted order doubled its time on ``wide12``.
+    """
     col_of: dict[int, int] = {}
-    for (r, c), amp in matrix.entries.items():
-        by_row.setdefault(r, []).append((col_of.setdefault(c, len(col_of)), amp))
-    amps = [a for a in matrix.entries.values() if not isinstance(a, Parameter)]
-    dens = {q.denominator for a in amps for q in (a.re, a.im)}
-    names = []
-    if len(amps) < len(matrix.entries):
-        names = sorted({a.name for a in matrix.entries.values() if isinstance(a, Parameter)})
-    return list(by_row.values()), len(col_of), dens, names
+    c = [col_of.setdefault(j, len(col_of)) for _, j in matrix.entries]
+    cols = len(col_of)
+    row_of: dict[int, int] = {}
+    at = [
+        row_of.setdefault(i, len(row_of)) * cols + j
+        for (i, _), j in zip(matrix.entries, c)
+    ]
+    return _Compressed(len(row_of), cols, np.array(at, dtype=np.intp), matrix.table)
 
 
-def _pass(compressed, p: int, assignment=None) -> int:
+def _rows(compressed: _Compressed) -> list[list]:
+    """Per nonzero row, in first-seen order, ``[(col, amplitude), ...]``."""
+    rows: list[list] = [[] for _ in range(compressed.rows)]
+    for k, a in zip(compressed.at.tolist(), compressed.table.amplitudes):
+        r, c = divmod(k, compressed.cols)
+        rows[r].append((c, a))
+    return rows
+
+
+def _pass(compressed: _Compressed, p: int, assignment=None) -> int:
     """Rank mod p of the compressed matrix, parameters set by ``assignment``.
 
-    A parameter reads as its drawn value.  Before anything is filled, a
-    parametric matrix without an assignment raises
+    A parameter reads as its drawn value.  Before anything is allocated,
+    a parametric matrix without an assignment raises
     :class:`PolicyMismatchError` and then a p that divides a denominator
-    raises :class:`PrimeClashError`, so the error does not depend on
-    term order.
+    raises :class:`PrimeClashError` (from the table's residues), so the
+    error does not depend on term order.
     """
-    rows, cols, dens, names = compressed
-    if names and assignment is None:
+    rows, cols, at, table = compressed
+    if table.names and assignment is None:
         raise PolicyMismatchError("matrix has parametric entries; use the generic policy")
-    if any(d % p == 0 for d in dens):
-        raise PrimeClashError(f"prime {p} divides a denominator")
-    inverse = {d: pow(d, -1, p) for d in dens}
-    re = np.zeros((len(rows), cols), dtype=np.int64)
-    im = np.zeros((len(rows), cols), dtype=np.int64)
-    for r, row in enumerate(rows):
-        for c, x in row:
-            if isinstance(x, Parameter):
-                re[r, c], im[r, c] = assignment[x.name]
-                continue
-            a, b = x.re, x.im
-            re[r, c] = a.numerator * inverse[a.denominator] % p
-            im[r, c] = b.numerator * inverse[b.denominator] % p
-    return int(rank_mod_gaussian(re, im, p))
+    residues = table.residues(p)
+    re = np.zeros(rows * cols, dtype=np.int64)
+    im = np.zeros(rows * cols, dtype=np.int64)
+    re[at], im[at] = residues
+    for k in table.params:
+        re[at[k]], im[at[k]] = assignment[table.amplitudes[k].name]
+    return int(rank_mod_gaussian(re.reshape(rows, cols), im.reshape(rows, cols), p))
 
 
 # ---------------------------------------------------------------------------
@@ -333,18 +354,19 @@ def exact_rank(
     rank is r.  When a prime raises r, the earlier primes still gave
     ranks <= r, so P keeps them.
     """
-    compressed = rows, cols, dens, _ = _compress(matrix)
-    if not rows:
+    compressed = _compress(matrix)
+    if not compressed.rows:
         return RankResult(
             0, mode="exact", certainty="exact", certificate="structural", primes=0
         )
     value, product, norms = 0, 1, None
-    ceiling, certificate = min(len(rows), cols), "structural"
-    for passes, p in enumerate(_admissible_primes(dens), start=1):
+    ceiling, certificate = min(compressed.rows, compressed.cols), "structural"
+    for passes, p in enumerate(_admissible_primes(compressed.table.dens), start=1):
         value = max(value, _pass(compressed, p))
         if value == ceiling:
             break
         if passes == 1:
+            rows = _rows(compressed)
             ceiling = _term_rank(rows)
             bound = None if value == ceiling or upper is None else upper()
             if bound is not None and bound < ceiling:
@@ -383,27 +405,35 @@ def generic_rank(
     Equals the generic rank (the rank away from a measure-zero parameter
     set) except with probability at most (deg/p)**trials, reported in
     ``failure_bound`` and capped at 1.  Without parameters every trial
-    is the same pass, so only the first runs.
+    is the same pass, so only the first runs.  The trials also stop once
+    the value meets the term rank (:func:`_term_rank`, computed once
+    after the first trial), which bounds the rank at every parameter
+    value, so no later trial could raise it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(f"generic:{seed}")
-    compressed = rows, cols, dens, names = _compress(matrix)
+    compressed = _compress(matrix)
+    names = compressed.table.names
     if p is None:
         table = list(PRIMES_3_MOD_4)
         rng.shuffle(table)
-        p = next(_admissible_primes(dens, table))
+        p = next(_admissible_primes(compressed.table.dens, table))
     else:
         _check_prime(p)
-    best = 0
-    for _ in range(trials):
+    best, ceiling = 0, min(compressed.rows, compressed.cols)
+    for trial in range(trials):
         assignment = {
             name: (rng.randrange(p), rng.randrange(p)) for name in names
         }
         best = max(best, _pass(compressed, p, assignment))
-        if best == min(len(rows), cols) or not names:
+        if best == ceiling or not names:
             break
-    per_trial = min(Fraction(min(len(rows), cols), p), 1)
+        if trial == 0:
+            ceiling = _term_rank(_rows(compressed))
+            if best == ceiling:
+                break
+    per_trial = min(Fraction(min(compressed.rows, compressed.cols), p), 1)
     tiny = per_trial and trials * -log2(per_trial) > 1100  # power < 2**-1076
     return RankResult(
         best,

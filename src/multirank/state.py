@@ -28,15 +28,26 @@ Every state, parsed or built from the library, is made by
 Duplicate kets merge by exact addition; terms that cancel are dropped;
 an empty result is rejected (the zero state has no meaningful profile).
 A parsed document must give at least one term.
+
+Every flattening of a state holds every term, so a state's
+:attr:`StateTensor.table` (a :class:`TermTable`) holds what no cut
+changes: the kets as one array, the amplitudes in term order, their
+denominators and parameter names, and their residues mod each prime a
+rank pass uses.  It is built the first time a flattening needs it and
+lives and dies with its state.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from math import prod
+from typing import Iterable, Optional, Sequence
 
-from .errors import InvalidStateError, StateSyntaxError, ZeroStateError
+import numpy as np
+
+from .errors import InvalidStateError, PrimeClashError, StateSyntaxError, ZeroStateError
 from .gaussian import (
     NATURAL_RE,
     Amplitude,
@@ -83,6 +94,70 @@ class StateTensor:
     @property
     def has_parameters(self) -> bool:
         return any(isinstance(a, Parameter) for a in self.terms.values())
+
+    @cached_property
+    def table(self) -> "TermTable":
+        """The terms as one :class:`TermTable`, built on first use.
+
+        The kets are int64 unless d_1 * ... * d_n reaches 2**63: a
+        flattening's row or column index can then pass 2**63, where an
+        int64 matmul wraps silently, so they are Python ints instead.
+        """
+        big = prod(self.dims.dims) >= 2**63
+        kets = np.array(list(self.terms), dtype=object if big else np.int64)
+        return TermTable(tuple(self.terms.values()), kets)
+
+
+class TermTable:
+    """The terms of a state in one fixed order, read once for every cut.
+
+    Every flattening of a state holds every term, so what a cut needs of
+    an amplitude does not depend on the cut.  ``kets`` is the terms x n
+    array of ket digits (None for a table read off a matrix's entries),
+    ``amplitudes`` the amplitudes in the same order, ``dens`` the set of
+    the Gaussian amplitudes' denominators, ``params`` the positions of
+    the parameters and ``names`` their sorted names.  :meth:`residues`
+    reads the amplitudes mod p once per prime.
+    """
+
+    __slots__ = ("kets", "amplitudes", "dens", "params", "names", "_residues")
+
+    def __init__(self, amplitudes: tuple[Amplitude, ...], kets: Optional[np.ndarray] = None):
+        self.kets = kets
+        self.amplitudes = amplitudes
+        self.params: list[int] = []
+        self.dens: set[int] = set()
+        names = set()
+        for k, a in enumerate(amplitudes):
+            if isinstance(a, Parameter):
+                self.params.append(k)
+                names.add(a.name)
+            else:
+                self.dens.add(a.re.denominator)
+                self.dens.add(a.im.denominator)
+        self.names = sorted(names)
+        self._residues: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def residues(self, p: int) -> tuple[np.ndarray, np.ndarray]:
+        """(re, im) int64 arrays: each amplitude as num * den^-1 mod p.
+
+        A parameter reads as 0.  A p that divides one of ``dens`` raises
+        :class:`PrimeClashError`.
+        """
+        if p not in self._residues:
+            if any(d % p == 0 for d in self.dens):
+                raise PrimeClashError(f"prime {p} divides a denominator")
+            inverse = {d: pow(d, -1, p) for d in self.dens}
+            re, im = [], []
+            for a in self.amplitudes:
+                if isinstance(a, Parameter):
+                    re.append(0)
+                    im.append(0)
+                else:
+                    re.append(a.re.numerator * inverse[a.re.denominator] % p)
+                    im.append(a.im.numerator * inverse[a.im.denominator] % p)
+            self._residues[p] = np.array(re, dtype=np.int64), np.array(im, dtype=np.int64)
+        return self._residues[p]
 
 
 def _check_index(index: MultiIndex, dims: QuditDims, k: int) -> None:

@@ -4,7 +4,8 @@ Random states, random invertible local matrices and their action on one
 party, the four reference states exercised throughout, known-answer
 families (qubit graph states, qubit and qudit Dicke states, and the
 states of linear codes) with their closed-form cut ranks, builders for
-dense matrices, transposes and line-grammar text, and reference ranks
+dense matrices, transposes and line-grammar text, the flattening's
+per-term index map (:func:`row_col_of`), and reference ranks
 that share no code with the library's routes: fraction-free Bareiss
 elimination, exhaustive minors and plain elimination over GF(p)[i].  An
 exhaustive term rank checks the structural bound.  Every generator takes
@@ -21,6 +22,7 @@ from math import lcm
 from typing import Sequence
 
 from multirank import (
+    Bipartition,
     FlattenedMatrix,
     GaussianRational,
     InvalidStateError,
@@ -31,12 +33,26 @@ from multirank import (
     build_state,
 )
 from multirank.gaussian import _is_int, as_amplitude
+from multirank.state import MultiIndex
 
 GaussInt = tuple[int, int]
 
 
 def _has_parameters(matrix: FlattenedMatrix) -> bool:
     return any(isinstance(a, Parameter) for a in matrix.entries.values())
+
+
+def row_col_of(
+    index: MultiIndex, bipartition: Bipartition, dims: QuditDims
+) -> tuple[int, int]:
+    """Map one multi-index to its (row, col) position in the flattening."""
+    row = 0
+    for j in bipartition.parties:
+        row = row * dims.dims[j - 1] + index[j - 1]
+    col = 0
+    for j in bipartition.complement:
+        col = col * dims.dims[j - 1] + index[j - 1]
+    return row, col
 
 
 def w3() -> StateTensor:

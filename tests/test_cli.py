@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: outputs, formats, flags, and exit codes."""
 
+import hashlib
 import json
 import os
 import random
@@ -796,3 +797,74 @@ def test_vanishing_state_still_prints_a_single_level(tmp_path):
     doc.write_text(VANISHING["mod-7"][0])
     result = run_cli(str(doc), "--levels", "1", "--rank", "mod:7")
     assert (result.returncode, result.stdout, result.stderr) == (0, "{0, 0}\n", "")
+
+
+def qubits70_text() -> str:
+    """70 qubits, 8 terms: each ket on party 1 = 0 has a partner on party
+    1 = 1 with twice its coefficient and party 6, whose place at the cut
+    {1} is 2**64, set.  An index wrapped mod 2**64 merges the partners."""
+    rng = random.Random(70)
+    lines = ["dims " + " ".join(["2"] * 70)]
+    for coeff, twice in [("1", "2"), ("-1/2+1/3i", "-1+2/3i"), ("2i", "4i"), ("3/5", "6/5")]:
+        tail = [rng.choice("01") for _ in range(69)]
+        tail[4] = "0"
+        lines.append(f"{coeff} |0{''.join(tail)}>")
+        tail[4] = "1"
+        lines.append(f"{twice} |1{''.join(tail)}>")
+    return "\n".join(lines) + "\n"
+
+
+def wide4_text() -> str:
+    """dims 2**40 2**40 2**40 3: the cut {1} has 3 * 2**80 columns, and
+    party 2's digit 2**24 sits at column 3 * 2**64."""
+    d = 2**40
+    kets = [
+        (0, 0, 0, 0),
+        (1, 2**24, 0, 0),
+        (d - 1, d - 1, d - 1, 2),
+        (5, 2**39, 7, 1),
+        (2**24, 0, 2**30, 2),
+        (3, 1, d - 2, 0),
+    ]
+    coeffs = ["1", "1/2-i", "-3", "2/3i", "4", "1+1/7i"]
+    body = "".join(f"{c} |{','.join(map(str, k))}>\n" for c, k in zip(coeffs, kets))
+    return f"dims {d} {d} {d} 3\n" + body
+
+
+# stdout pinned from the per-term Python index map, which never wraps
+PAST_INT64 = [
+    (
+        qubits70_text,
+        ("--levels", "1", "--format", "json"),
+        "fc1ab5aade9e596c303b51a2f978ca7aca3430c810816a8ece6e981ea71e46d2",
+        # rank 1 where all 8 kets share the party's digit
+        [[1 if j in (11, 12, 26, 33, 37, 46, 53, 56, 62, 64) else 2 for j in range(1, 71)]],
+    ),
+    (
+        wide4_text,
+        (),
+        "ca2223782d0a62587e57f27e85ae0981285cd966b2337a0cf8a4a6c20dda9805",
+        "{{6, 5, 5, 3}, {5, 6, 6, 6, 6, 5}}\nverdict: GME\n",
+    ),
+    (
+        wide4_text,
+        ("--format", "json"),
+        "a74f1c6fc72a929cc496221ac2db6985e03ffbe6aec806cb24bd086cf7f01b5f",
+        [[6, 5, 5, 3], [5, 6, 6, 6, 6, 5]],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make,flags,digest,expected", PAST_INT64, ids=["qubits70-json", "wide4-text", "wide4-json"]
+)
+def test_indices_past_int64(tmp_path, make, flags, digest, expected):
+    path = tmp_path / "wide.state"
+    path.write_text(make())
+    result = run_cli(str(path), *flags)
+    assert (result.returncode, result.stderr) == (0, "")
+    if isinstance(expected, str):
+        assert result.stdout == expected
+    else:
+        assert json.loads(result.stdout)["profile"] == expected
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest

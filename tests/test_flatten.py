@@ -15,8 +15,16 @@ from multirank import (
     enumerate_bipartitions,
     flatten,
 )
-from multirank.flatten import row_col_of
-from helpers import cluster4, gauss, matrix_from_dense, rand_state, transposed, w3
+from helpers import (
+    cluster4,
+    gauss,
+    matrix_from_dense,
+    rand_gauss_fraction,
+    rand_state,
+    row_col_of,
+    transposed,
+    w3,
+)
 
 
 def test_row_col_examples():
@@ -76,6 +84,27 @@ def test_index_map_is_a_bijection(dims):
                 assert 0 <= c < prod(dims[j - 1] for j in bp.complement)
                 seen.add((r, c))
             assert len(seen) == prod(dims)
+
+
+def test_entries_follow_the_index_map_past_int64():
+    # a side whose dimensions multiply past 2**63 has indices that an int64
+    # matmul would wrap; entries must still equal the index map's, in order
+    rng = random.Random(63)
+    sizes = (2, 3, 5, 2**20 + 7, 2**31 - 1, 2**40, 3**30)
+    past = 0
+    for _ in range(60):
+        dims = [rng.choice(sizes) for _ in range(rng.randint(2, 5))]
+        top = [d - 1 if rng.random() < 0.5 else rng.randrange(d) for d in dims]
+        kets = {tuple(rng.randrange(d) for d in dims) for _ in range(rng.randint(1, 8))}
+        kets.add(tuple(top))
+        terms = [(ket, rng.choice(["a", rand_gauss_fraction(rng)])) for ket in sorted(kets)]
+        state = build_state(dims, terms)
+        past += prod(dims) >= 2**63
+        for level in range(1, len(dims) // 2 + 1):
+            for bp in enumerate_bipartitions(state.dims, level):
+                expected = [(row_col_of(k, bp, state.dims), a) for k, a in state.terms.items()]
+                assert list(flatten(state, bp).entries.items()) == expected
+    assert past >= 20
 
 
 def test_entry_conservation_on_random_states():

@@ -6,7 +6,11 @@ from pathlib import Path
 
 import pytest
 
+import multirank.profile as profile_module
+import multirank.rank as rank_module
 from multirank import (
+    FlattenedMatrix,
+    MultirankError,
     RankPolicy,
     build_state,
     enumerate_bipartitions,
@@ -14,6 +18,7 @@ from multirank import (
     flatten,
     multirank_profile,
     parse_state,
+    parse_policy,
     profile_level,
     rank_dispatch,
 )
@@ -24,6 +29,7 @@ from helpers import (
     matrix_from_dense,
     oracle_rank_minors,
     rand_cut_product_state,
+    rand_dims,
     rand_gauss_fraction,
     rand_gauss_int,
     rand_product_state,
@@ -221,3 +227,86 @@ def test_generic_entry_depends_on_matrix_and_seed_alone(policy):
                 assert profile_level(state, level, policy, seed) == entries
                 for bp, result in entries:
                     assert result == rank_dispatch(flatten(state, bp), policy, seed)
+
+
+def rand_fraction_state(rng: random.Random, names=()):
+    """Up to 5 parties, fractional complex coefficients, some named ``names``."""
+    dims = rand_dims(rng, max_n=5)
+    kets = {tuple(rng.randrange(d) for d in dims) for _ in range(rng.randint(1, 12))}
+    return build_state(
+        dims, [(ket, rng.choice([*names, rand_gauss_fraction(rng)])) for ket in sorted(kets)]
+    )
+
+
+@pytest.mark.parametrize("policy", ["exact", "fast", "mod:2147483647", "generic", "generic:3,7"])
+def test_each_cut_ranks_as_its_matrix_alone(monkeypatch, policy):
+    """The state's term table and each flattening's own entries agree.
+
+    Every cut's result, or refusal, equals ``rank_dispatch`` on a copy of
+    its matrix that reads its amplitudes off its entries, offered the
+    same upper bound as the profile offers that cut.
+    """
+    policy = parse_policy(policy)
+    dispatch = profile_module.rank_dispatch
+    pairs = []
+
+    def outcome(*args):
+        try:
+            return dispatch(*args)
+        except MultirankError as exc:
+            return type(exc)
+
+    def spy(matrix, policy, seed, upper):
+        alone = FlattenedMatrix(matrix.rows, matrix.cols, dict(matrix.entries))
+        assert alone.table is not matrix.table
+        pairs.append((outcome(alone, policy, seed, upper), outcome(matrix, policy, seed, upper)))
+        return dispatch(matrix, policy, seed, upper)
+
+    monkeypatch.setattr(profile_module, "rank_dispatch", spy)
+    rng = random.Random(83)
+    states = [rand_fraction_state(rng) for _ in range(12)]
+    states += [rand_cut_product_state(rng, max_n=5, coeff=rand_gauss_fraction)[0] for _ in range(6)]
+    states += [rand_fraction_state(rng, ("a", "b")) for _ in range(8)]
+    states += [rand_parametric_qubits(rng, n) for n in (3, 4)]
+    results = []
+    for state in states:
+        start = len(pairs)
+        try:
+            profile = multirank_profile(state, policy, seed=11)
+        except MultirankError as exc:
+            assert pairs[-1][1] is type(exc)
+        else:
+            entries = [r for level in profile.levels for _, r in level]
+            assert entries == [got for _, got in pairs[start:]]
+            results += entries
+    assert all(alone == got for alone, got in pairs)
+    assert len(results) >= 100
+    if policy.kind in ("exact", "fast"):  # the upper bound closed some cut
+        assert any(r.certificate == "product" for r in results)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_generic_values_do_not_depend_on_the_term_rank_stop(monkeypatch, seed):
+    """Stopping the trials once the value meets the term rank moves no value.
+
+    With the term rank patched to a bound that no value meets, every
+    matrix runs every trial; the profiles must not differ.
+    """
+    rng = random.Random(seed)
+    states = [rand_parametric_qubits(rng, n) for n in (3, 4, 5, 6)]
+    states += [rand_fraction_state(rng, ("a", "b", "c")) for _ in range(4)]
+    policy = RankPolicy.generic(trials=4)
+    kernel = rank_module.rank_mod_gaussian
+    calls = []
+
+    def spy(re, im, p):
+        calls.append(p)
+        return kernel(re, im, p)
+
+    monkeypatch.setattr(rank_module, "rank_mod_gaussian", spy)
+    stopped = [multirank_profile(state, policy, seed) for state in states]
+    passes = len(calls)
+    monkeypatch.setattr(rank_module, "_term_rank", lambda rows: -1)
+    every_trial = [multirank_profile(state, policy, seed) for state in states]
+    assert stopped == every_trial
+    assert passes < len(calls) - passes  # the stop saved passes

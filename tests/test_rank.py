@@ -302,7 +302,8 @@ class TestTermRank:
                     for r in range(height)
                 ]
             )
-            rows, cols, *_ = rank_module._compress(matrix)
+            compressed = rank_module._compress(matrix)
+            rows, cols = rank_module._rows(compressed), compressed.cols
             term = rank_module._term_rank(rows)
             assert bareiss_rank(matrix) <= term == oracle_term_rank(matrix)
             assert term <= min(len(rows), cols)
@@ -326,7 +327,7 @@ class TestTermRank:
             entries[(i, i + 1)] = entries[(i, i)] = one
         for r in range(n - 1, n + 100):
             entries[(r, n - 1)] = one
-        rows, *_ = rank_module._compress(FlattenedMatrix(n + 100, n, entries))
+        rows = rank_module._rows(rank_module._compress(FlattenedMatrix(n + 100, n, entries)))
         assert rank_module._term_rank(rows) == n
 
 
@@ -402,6 +403,20 @@ class TestModularRank:
                 assert value == gf_rank(re, im, p)
                 below += value < bareiss_rank(matrix)
         assert below >= 100
+
+
+@pytest.fixture
+def kernel_primes(monkeypatch):
+    """The prime of every kernel call, in order."""
+    primes = []
+    kernel = rank_module.rank_mod_gaussian
+
+    def spy(re, im, p):
+        primes.append(p)
+        return kernel(re, im, p)
+
+    monkeypatch.setattr(rank_module, "rank_mod_gaussian", spy)
+    return primes
 
 
 class TestGenericRank:
@@ -485,6 +500,20 @@ class TestGenericRank:
             trials=50,
             failure_bound=float(Fraction(2, 7) ** 50),
         )
+
+    def test_a_minor_that_vanishes_identically_runs_every_trial(self, kernel_primes):
+        # rank 1 at every point and term rank 2: no trial meets the term rank
+        result = generic_rank(matrix_from_dense([["a", "a"], ["a", "a"]]), trials=6, seed=2)
+        assert len(kernel_primes) == 6
+        assert (result.value, result.trials, result.certificate) == (1, 6, None)
+
+    def test_a_value_at_the_term_rank_stops_the_trials(self, kernel_primes):
+        # rows 2 and 3 hold only column 1, so row 1 and column 1 cover the
+        # support: term rank 2, below min(rows, cols) = 3; trial 1 meets it
+        dense = [["a", "b", "c"], ["b", 0, 0], ["a", 0, 0]]
+        result = generic_rank(matrix_from_dense(dense), trials=6, seed=2)
+        assert len(kernel_primes) == 1
+        assert result.value == 2
 
 
 class TestDispatch:
