@@ -8,7 +8,7 @@ rationals); fast probabilistic paths over GF(p)[i] are available and
 clearly labelled in the results.
 """
 
-from .classify import EntanglementVerdict, is_fully_product, is_gme, verdict
+from .classify import EntanglementVerdict, verdict
 from .errors import (
     InvalidStateError,
     MultirankError,
@@ -22,7 +22,7 @@ from .gaussian import Amplitude, GaussianRational, Parameter, parse_coefficient
 # not in __all__: the benchmark (perfbench/run.py) reads multirank.BACKEND
 from .kernels import BACKEND
 from .partition import Bipartition, all_levels, enumerate_bipartitions
-from .profile import DEFAULT_SEED, MultirankProfile, multirank_profile, profile_level
+from .profile import DEFAULT_SEED, MultirankProfile, multirank_profile
 from .rank import (
     RankPolicy,
     RankResult,
@@ -62,14 +62,11 @@ __all__ = [
     "exact_rank",
     "flatten",
     "generic_rank",
-    "is_fully_product",
-    "is_gme",
     "modular_rank",
     "multirank_profile",
     "parse_coefficient",
     "parse_policy",
     "parse_state",
-    "profile_level",
     "rank_dispatch",
     "verdict",
 ]

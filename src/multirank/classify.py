@@ -27,21 +27,14 @@ class EntanglementVerdict:
     product_cuts: tuple[Bipartition, ...]
 
 
-def is_gme(profile: MultirankProfile) -> bool:
-    """True iff every rank at every level exceeds 1.
-
-    Levels stop at floor(n/2), which still covers every bipartition:
-    the complementary flattening is a transpose with the same rank.
-    """
-    return verdict(profile).gme
-
-
-def is_fully_product(profile: MultirankProfile) -> bool:
-    """True iff every single-party flattening has rank 1."""
-    return verdict(profile).fully_product
-
-
 def verdict(profile: MultirankProfile) -> EntanglementVerdict:
+    """The verdict of a full profile.
+
+    ``gme`` holds iff every rank at every level exceeds 1: levels stop at
+    floor(n/2), which still covers every bipartition, since the
+    complementary flattening is a transpose with the same rank.
+    ``fully_product`` holds iff every single-party rank is 1.
+    """
     first = profile.levels[0][0][1]
     if first.value == 0:  # every flattening holds every term, so every rank is 0
         raise ZeroStateError(f"every rank is 0: the state vanishes mod {first.prime}")

@@ -8,16 +8,19 @@ prints the profile as nested brace lists, e.g.::
     {{2, 2, 2, 2}, {2, 4, 4, 4, 4, 2}}
     verdict: GME
 
-``--levels k`` ranks one level and renders it through the same report
-as a one-level profile: its brace list, or a JSON document with that
-level's ``ranks`` and no verdict.  A JSON rank entry is the cut, its
-rank, and every other field of its :class:`~multirank.rank.RankResult`
-that is set.  ``--dump-matrices`` prints the cuts that the run ranks.
+A run's levels are every level or the one that ``--levels k`` names;
+they decide both the cuts that ``--dump-matrices`` prints and the one
+:func:`~multirank.profile.multirank_profile` call.  A one-level profile
+renders through the same report: its brace list, or a JSON document
+with that level's ``ranks`` and no verdict.  A JSON rank entry is the
+cut, its rank, and every other field of its
+:class:`~multirank.rank.RankResult` that is set.
 
 Exit codes: 0 success, 1 a closed stdout (no traceback, nothing on
 stderr), 2 a bad flag or unreadable input, otherwise the ``exit_code`` of
 the :class:`~multirank.errors.MultirankError` raised (see
-:mod:`multirank.errors`).  Runs are reproducible: the seed
+:mod:`multirank.errors`), among them 2 for a run of more cuts than
+:data:`~multirank.profile.CUT_LIMIT`.  Runs are reproducible: the seed
 defaults to a fixed value and all randomness derives from it.
 """
 
@@ -35,14 +38,8 @@ from .classify import EntanglementVerdict, verdict
 from .errors import MultirankError
 from .flatten import dense_string_rows, flatten
 from .gaussian import parse_integer
-from .partition import Bipartition, all_levels, enumerate_bipartitions
-from .profile import (
-    DEFAULT_SEED,
-    LevelEntries,
-    MultirankProfile,
-    multirank_profile,
-    profile_level,
-)
+from .partition import Bipartition, enumerate_bipartitions
+from .profile import DEFAULT_SEED, LevelEntries, MultirankProfile, multirank_profile
 from .rank import RankResult, parse_policy
 from .state import StateTensor, parse_state
 
@@ -125,16 +122,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     except MultirankError as exc:
         return _fail(f"{args.input}: {exc}", exc.exit_code)
 
-    if policy.kind == "generic" and not state.has_parameters:
+    if policy.kind == "generic" and not state.table.names:
         print(
             "multirank: warning: generic policy on a state with no parameters",
             file=sys.stderr,
         )
-    if level is not None and not 1 <= level <= state.dims.n // 2:
-        return _fail(f"level must be between 1 and {state.dims.n // 2}")
+    n = state.dims.n
+    if level is not None and not 1 <= level <= n // 2:
+        return _fail(f"level must be between 1 and {n // 2}")
     if args.dump_matrices:
         # counted before any cut is enumerated, so a refusal costs nothing
-        n = state.dims.n
         levels = range(1, n // 2 + 1) if level is None else (level,)
         entries = sum(comb(n, k) for k in levels) * prod(state.dims.dims)
         if entries > DUMP_LIMIT:
@@ -142,18 +139,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                 f"--dump-matrices would print {entries} entries, "
                 f"more than the limit of {DUMP_LIMIT}"
             )
-        if level is None:
-            groups = all_levels(state.dims)
-        else:
-            groups = [enumerate_bipartitions(state.dims, level)]
-        _dump_matrices(state, groups, file=sys.stderr)
+        _dump_matrices(state, levels, file=sys.stderr)
 
     try:
-        if level is None:
-            profile = multirank_profile(state, policy, seed)
-        else:
-            entries = profile_level(state, level, policy, seed)
-            profile = MultirankProfile(state.dims, (entries,), policy, seed)
+        profile = multirank_profile(state, policy, seed, level)
         report = _report(profile, level, args.dedupe, args.format != "text")
     except MultirankError as exc:
         return _fail(str(exc), exc.exit_code)
@@ -269,9 +258,9 @@ def _entry_doc(bp: Bipartition, result: RankResult) -> dict:
     return doc
 
 
-def _dump_matrices(state: StateTensor, groups: list[list[Bipartition]], file) -> None:
-    for group in groups:
-        for bp in group:
+def _dump_matrices(state: StateTensor, levels, file) -> None:
+    for level in levels:
+        for bp in enumerate_bipartitions(state.dims, level):
             matrix = flatten(state, bp)
             print(f"# matrix {bp.label()} ({matrix.rows}x{matrix.cols})", file=file)
             for row in dense_string_rows(matrix):

@@ -1,12 +1,15 @@
-"""Assembly of the full rank profile across every level and bipartition.
+"""Assembly of the rank profile across every level and bipartition.
 
-Levels run from 1 to floor(n/2); inside a level the bipartitions keep
-their lexicographic order, so the flat list of values lines up with the
-printed output position by position.  Every matrix is ranked with the
-master seed, so a rank depends on its matrix and the seed alone, never
-on where the matrix sits: under the generic policy the flattenings of
-one state share one automatic prime and one random point per trial, and
-a cut and its complement, transposes of each other, get the same rank.
+Levels run from 1 to floor(n/2), or a run ranks one level alone; inside
+a level the bipartitions keep their lexicographic order, so the flat
+list of values lines up with the printed output position by position.
+A run counts its cuts before it builds any and refuses more than
+:data:`CUT_LIMIT`, since it keeps every cut's rank.  Every matrix is
+ranked with the master seed, so a rank depends on its matrix and the
+seed alone, never on where the matrix sits: under the generic policy
+the flattenings of one state share one automatic prime and one random
+point per trial, and a cut and its complement, transposes of each
+other, get the same rank.
 Every certified rank bounds the next cut (r(A | B) <= r(A) * r(B)),
 which can close a rank in fewer passes: the value never depends on that
 record, its certificate can.
@@ -16,14 +19,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from math import comb
 from typing import Optional
 
+from .errors import MultirankError
 from .flatten import flatten
 from .partition import Bipartition, all_levels, enumerate_bipartitions
 from .rank import RankPolicy, RankResult, rank_dispatch
 from .state import QuditDims, StateTensor
 
 DEFAULT_SEED = 1729
+# a run keeps every cut's rank; 21 parties have 2**20 - 1 cuts
+CUT_LIMIT = 2**20
 
 LevelEntries = tuple[tuple[Bipartition, RankResult], ...]
 
@@ -89,26 +96,25 @@ def _profile(
 
 def multirank_profile(
     state: StateTensor,
-    policy: RankPolicy = RankPolicy.fast(),
+    policy: RankPolicy = RankPolicy("fast"),
     seed: int = DEFAULT_SEED,
+    level: Optional[int] = None,
 ) -> MultirankProfile:
-    """Rank every flattening of the state under the given policy."""
-    levels = _profile(state, all_levels(state.dims), policy, seed)
-    return MultirankProfile(dims=state.dims, levels=levels, policy=policy, seed=seed)
+    """Rank every flattening of the state, or only those at ``level``.
 
-
-def profile_level(
-    state: StateTensor,
-    level: int,
-    policy: RankPolicy = RankPolicy.fast(),
-    seed: int = DEFAULT_SEED,
-) -> LevelEntries:
-    """One level of the profile: the same values as the full run's slice.
-
-    A certificate or a pass count can differ from the full run's, since
-    a single level has no record of the lower levels to bound it by.
+    The cuts are counted before any is built, and a run of more than
+    :data:`CUT_LIMIT` raises :class:`MultirankError`.  A single level has
+    the full run's values there, but a certificate or a pass count can
+    differ, since it has no record of the lower levels to bound it by.
     """
-    (entries,) = _profile(
-        state, [enumerate_bipartitions(state.dims, level)], policy, seed
-    )
-    return entries
+    n = state.dims.n
+    # a level out of range counts nothing here; enumerate_bipartitions refuses it
+    cuts = sum(comb(n, k) for k in range(1, n // 2 + 1) if level in (None, k))
+    if cuts > CUT_LIMIT:
+        raise MultirankError(f"the profile has {cuts} cuts, more than the limit of {CUT_LIMIT}")
+    if level is None:
+        groups = all_levels(state.dims)
+    else:
+        groups = [enumerate_bipartitions(state.dims, level)]
+    levels = _profile(state, groups, policy, seed)
+    return MultirankProfile(dims=state.dims, levels=levels, policy=policy, seed=seed)

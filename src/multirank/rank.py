@@ -37,7 +37,8 @@ s^-1 mod p, s the lcm of the row's denominators, which p does not
 divide.  So every modular rank, pass count, certificate and generic
 draw is the cleared matrix's.  The row lists that the term rank and the
 Hadamard bound read are built only when a route reaches them.
-:func:`rank_dispatch` glues the routes together under a policy; the
+:func:`rank_dispatch` glues the routes together under a
+:class:`RankPolicy`, which refuses when built what it could not run; the
 exact and fast policies are two names for :func:`exact_rank`.
 """
 
@@ -100,31 +101,29 @@ class RankResult:
 
 @dataclass(frozen=True, slots=True)
 class RankPolicy:
-    """Which rank route to use; see :func:`rank_dispatch`."""
+    """Which rank route to use; see :func:`rank_dispatch`.
+
+    A policy checks itself when built, so every policy can run: the kind
+    is known, a modular policy has a prime, a prime is one that GF(p)[i]
+    needs (see :func:`_check_prime`), and a trial count is at least 1
+    (``generic`` defaults to :data:`DEFAULT_GENERIC_TRIALS`).
+    """
 
     kind: str  # "exact" | "fast" | "modular" | "generic"
     prime: Optional[int] = None
     trials: Optional[int] = None
 
     def __post_init__(self):
+        if self.kind not in ("exact", "fast", "modular", "generic"):
+            raise ValueError(f"unknown rank policy kind {self.kind!r}")
+        if self.kind == "modular" and self.prime is None:
+            raise ValueError("modular policy needs an explicit prime")
+        if self.prime is not None:
+            _check_prime(self.prime)
         if self.kind == "generic" and self.trials is None:
             object.__setattr__(self, "trials", DEFAULT_GENERIC_TRIALS)
-
-    @classmethod
-    def exact(cls) -> "RankPolicy":
-        return cls("exact")
-
-    @classmethod
-    def fast(cls) -> "RankPolicy":
-        return cls("fast")
-
-    @classmethod
-    def modular(cls, prime: int) -> "RankPolicy":
-        return cls("modular", prime=prime)
-
-    @classmethod
-    def generic(cls, trials: int = DEFAULT_GENERIC_TRIALS, prime: Optional[int] = None) -> "RankPolicy":
-        return cls("generic", prime=prime, trials=trials)
+        if self.trials is not None and self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
 
     def label(self) -> str:
         if self.kind == "modular":
@@ -138,32 +137,24 @@ class RankPolicy:
 def parse_policy(text: str) -> RankPolicy:
     """Parse the CLI policy syntax: exact | fast | mod:<p> | generic:<trials>,<p>.
 
-    Each number is an optional ``-`` and ASCII digits.  The prime and the
-    trial count are validated here, so that a bad policy is rejected
+    Each number is an optional ``-`` and ASCII digits.  The policy checks
+    its prime and trial count when built, so a bad policy is rejected
     before any state is read.
     """
-    if text in ("exact", "fast"):
+    if text in ("exact", "fast", "generic"):
         return RankPolicy(text)
-    if text == "generic":
-        return RankPolicy.generic()
     if text.startswith("mod:"):
         prime = parse_integer(text[len("mod:") :], "prime")
         if prime is None:
             raise ValueError(f"malformed modular policy {text!r}")
-        policy = RankPolicy.modular(prime)
-    elif text.startswith("generic:"):
+        return RankPolicy("modular", prime)
+    if text.startswith("generic:"):
         parts = text[len("generic:") :].split(",")
-        values = [parse_integer(part, what) for part, what in zip(parts, ("trials", "prime"))]
-        if len(parts) > 2 or None in values:
+        values = {what: parse_integer(part, what) for part, what in zip(parts, ("trials", "prime"))}
+        if len(parts) > 2 or None in values.values():
             raise ValueError(f"malformed generic policy {text!r}")
-        policy = RankPolicy.generic(*values)
-    else:
-        raise ValueError(f"unknown rank policy {text!r}")
-    if policy.prime is not None:
-        _check_prime(policy.prime)
-    if policy.trials is not None and policy.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {policy.trials}")
-    return policy
+        return RankPolicy("generic", **values)
+    raise ValueError(f"unknown rank policy {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +454,4 @@ def rank_dispatch(
         return exact_rank(matrix, upper)
     if policy.kind == "generic":
         return generic_rank(matrix, trials=policy.trials, p=policy.prime, seed=seed)
-    if policy.kind == "modular":
-        if policy.prime is None:
-            raise ValueError("modular policy needs an explicit prime")
-        return modular_rank(matrix, policy.prime)
-    raise ValueError(f"unknown rank policy kind {policy.kind!r}")
+    return modular_rank(matrix, policy.prime)

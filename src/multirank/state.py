@@ -91,10 +91,6 @@ class StateTensor:
     dims: QuditDims
     terms: dict[MultiIndex, Amplitude] = field(repr=False)
 
-    @property
-    def has_parameters(self) -> bool:
-        return any(isinstance(a, Parameter) for a in self.terms.values())
-
     @cached_property
     def table(self) -> "TermTable":
         """The terms as one :class:`TermTable`, built on first use.

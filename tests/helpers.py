@@ -2,14 +2,16 @@
 
 Random states, random invertible local matrices and their action on one
 party, the four reference states exercised throughout, known-answer
-families (qubit graph states, qubit and qudit Dicke states, and the
-states of linear codes) with their closed-form cut ranks, builders for
-dense matrices, transposes and line-grammar text, the flattening's
-per-term index map (:func:`row_col_of`), and reference ranks
-that share no code with the library's routes: fraction-free Bareiss
-elimination, exhaustive minors and plain elimination over GF(p)[i].  An
-exhaustive term rank checks the structural bound.  Every generator takes
-an explicit ``random.Random`` so tests stay reproducible.
+families (qubit graph states, qudit graph states over Z_4, qubit and
+qudit Dicke states, and the states of linear codes) with their
+closed-form cut ranks, the cross-cut invariants of a profile
+(:func:`check_profile`), builders for dense matrices, transposes and
+line-grammar text, the flattening's per-term index map
+(:func:`row_col_of`), and reference ranks that share no code with the
+library's routes: fraction-free Bareiss elimination, exhaustive minors
+and plain elimination over GF(p)[i].  An exhaustive term rank checks
+the structural bound.  Every generator takes an explicit
+``random.Random`` so tests stay reproducible.
 """
 
 from __future__ import annotations
@@ -178,6 +180,88 @@ def code_cut_rank(generator: Sequence[Sequence[int]], q: int, parties) -> int:
     in_s = sum(all(c[i] == 0 for i in outside) for c in code)
     in_t = sum(all(c[j - 1] == 0 for j in parties) for c in code)
     return len(code) // (in_s * in_t)
+
+
+
+def z4_graph_state(gamma: Sequence[Sequence[int]]) -> StateTensor:
+    """The qudit graph state over Z_4: amplitude i^(sum over i < j of
+    gamma[i][j] x_i x_j) on every ket of n ququarts.
+
+    ``gamma`` is a symmetric n x n matrix over Z_4 whose diagonal is unused.
+    """
+    n = len(gamma)
+    powers = [(1, 0), (0, 1), (-1, 0), (0, -1)]  # i^0 .. i^3
+    terms = [
+        (x, powers[sum(gamma[i][j] * x[i] * x[j] for i in range(n) for j in range(i + 1, n)) % 4])
+        for x in product(range(4), repeat=n)
+    ]
+    return build_state((4,) * n, terms)
+
+
+def z4_graph_cut_rank(gamma: Sequence[Sequence[int]], parties) -> int:
+    """The number of distinct vectors gamma[S, S^c]^T x mod 4, x over Z_4^S.
+
+    Across S | S^c the flattening is i^(x_S . gamma[S, S^c] x_T) up to row
+    and column phases: its rows are characters of Z_4^T, equal rows for
+    equal vectors and independent ones otherwise.
+    """
+    side = [j - 1 for j in parties]
+    rest = [t for t in range(len(gamma)) if t + 1 not in parties]
+    return len(
+        {
+            tuple(sum(gamma[s][t] * a for s, a in zip(side, x)) % 4 for t in rest)
+            for x in product(range(4), repeat=len(side))
+        }
+    )
+
+
+def check_profile(profile) -> list[str]:
+    """The cross-cut invariants that a profile of exact ranks obeys.
+
+    A cut and its complement have one rank r.  Returns each violation of:
+
+    * the product sides (r = 1) are closed under intersection and union:
+      psi = a_C (x) b_{C^c} = c_D (x) d_{D^c} is a product across C & D;
+    * r(A) <= r(B) * r(C) for every tripartition (A, B, C), since
+      r(A) = r(B | C) and psi lies in U_B (x) U_C (x) H_A;
+    * r(S) = r(S & C) * r(S - C) for every product side C that splits S:
+      the flattening at S is a Kronecker product of a_C's and b_{C^c}'s.
+
+    It needs no oracle, so it scales past Bareiss.
+    """
+    n = profile.dims.n
+    full = (1 << n) - 1
+
+    def parties(mask):
+        return [j + 1 for j in range(n) if mask >> j & 1]
+
+    problems = []
+    rank: dict[int, int] = {}
+    for level in profile.levels:
+        for bp, result in level:
+            mask = sum(1 << (j - 1) for j in bp.parties)
+            for side in (mask, full ^ mask):
+                if rank.setdefault(side, result.value) != result.value:
+                    problems.append(f"{parties(mask)} and its complement differ")
+    product_sides = [s for s in range(1, full) if rank[s] == 1]
+    for a in product_sides:
+        for b in product_sides:
+            for c in (a & b, a | b):
+                if 0 < c < full and rank[c] != 1:
+                    problems.append(f"{parties(a)}, {parties(b)}: {parties(c)} is no product")
+    for a in range(1, full):
+        rest = b = full ^ a
+        while b:  # b runs over the nonzero submasks of rest; c is what is left
+            c = rest ^ b
+            if c and rank[a] > rank[b] * rank[c]:
+                problems.append(f"r({parties(a)}) > r({parties(b)}) * r({parties(c)})")
+            b = (b - 1) & rest
+    for c in product_sides:
+        for s in range(1, full):
+            inner, outer = s & c, s & ~c
+            if inner and outer and rank[s] != rank[inner] * rank[outer]:
+                problems.append(f"r({parties(s)}) is not split by product side {parties(c)}")
+    return problems
 
 
 def matrix_from_dense(rows) -> FlattenedMatrix:
@@ -372,7 +456,7 @@ def apply_local_operation(
         raise InvalidStateError(f"matrix for site {site}: {exc}") from None
     if len(rows) != d or any(len(row) != d for row in rows):
         raise InvalidStateError(f"matrix must be {d}x{d} for site {site}")
-    if state.has_parameters or any(isinstance(v, Parameter) for row in rows for v in row):
+    if state.table.names or any(isinstance(v, Parameter) for row in rows for v in row):
         raise InvalidStateError(
             "local operations with parameters are not representable "
             "in the amplitude model"

@@ -16,8 +16,6 @@ from multirank import (
     enumerate_bipartitions,
     exact_rank,
     flatten,
-    is_fully_product,
-    is_gme,
     multirank_profile,
     parse_state,
     verdict,
@@ -63,7 +61,7 @@ def symmetry_suite():
 def test_criterion_01_three_qubit_w_state():
     profile, text, elapsed = timed_profile_text(w3(), 0.010)
     assert text == "{{2, 2, 2}}"
-    assert is_gme(profile)
+    assert verdict(profile).gme
     report(1, f"W state -> {text}, GME, {elapsed * 1e3:.2f} ms < 10 ms")
 
 
@@ -117,9 +115,9 @@ def test_criterion_07_local_operation_invariance():
         state = rand_state(rng, max_n=6, max_d=3, max_terms=12)
         site = rng.randint(1, state.dims.n)
         matrix = rand_invertible_matrix(rng, state.dims.dims[site - 1])
-        before = multirank_profile(state, RankPolicy.exact())
+        before = multirank_profile(state, RankPolicy("exact"))
         after = multirank_profile(
-            apply_local_operation(state, site, matrix), RankPolicy.exact()
+            apply_local_operation(state, site, matrix), RankPolicy("exact")
         )
         assert before.rank_lists() == after.rank_lists()
     report(7, "profiles invariant under 200 random invertible local operations")
@@ -130,7 +128,7 @@ def test_criterion_08_product_detection():
     for _ in range(100):
         profile = multirank_profile(rand_product_state(rng))
         assert [r.value for _, r in profile.levels[0]] == [1] * profile.dims.n
-        assert is_fully_product(profile)
+        assert verdict(profile).fully_product
     for _ in range(100):
         state, cut = rand_cut_product_state(rng)
         v = verdict(multirank_profile(state))
@@ -146,8 +144,8 @@ def test_criterion_08_product_detection():
 def test_criterion_09_policy_agreement(symmetry_suite):
     states = [w3(), cluster4(), qutrit3(), ghz6_qutrit_plus()] + symmetry_suite
     for state in states:
-        fast = multirank_profile(state, RankPolicy.fast())
-        exact = multirank_profile(state, RankPolicy.exact())
+        fast = multirank_profile(state, RankPolicy("fast"))
+        exact = multirank_profile(state, RankPolicy("exact"))
         assert fast.rank_lists() == exact.rank_lists()
         for level in exact.levels:
             for bp, result in level:
@@ -158,7 +156,7 @@ def test_criterion_09_policy_agreement(symmetry_suite):
 def test_criterion_10_generic_rank_sanity():
     state = parse_state("dims 2 2 2 ; a |000> ; +1 |111>")
     for seed in range(10):
-        profile = multirank_profile(state, RankPolicy.generic(trials=8), seed=seed)
+        profile = multirank_profile(state, RankPolicy("generic", trials=8), seed=seed)
         assert profile.rank_lists() == [[2, 2, 2]], f"seed {seed}"
         for level in profile.levels:
             for _, result in level:

@@ -8,8 +8,6 @@ from multirank import (
     RankPolicy,
     ZeroStateError,
     build_state,
-    is_fully_product,
-    is_gme,
     multirank_profile,
     verdict,
 )
@@ -29,16 +27,15 @@ def profile_of(state):
 
 
 def test_w_state_is_gme():
-    assert is_gme(profile_of(w3()))
-    assert not is_fully_product(profile_of(w3()))
+    v = verdict(profile_of(w3()))
+    assert v.gme and not v.fully_product
 
 
 def test_product_state():
     state = build_state((2, 2, 2), [((0, 1, 0), 1)])
-    p = profile_of(state)
-    assert is_fully_product(p)
-    assert not is_gme(p)
-    assert len(verdict(p).product_cuts) == 3
+    v = verdict(profile_of(state))
+    assert v.fully_product and not v.gme
+    assert len(v.product_cuts) == 3
 
 
 def test_single_cut_product():
@@ -58,7 +55,7 @@ def test_cluster4_verdict():
 
 def test_bell_pair_is_gme():
     state = build_state((2, 2), [((0, 0), 1), ((1, 1), 1)])
-    assert is_gme(profile_of(state))
+    assert verdict(profile_of(state)).gme
 
 
 def test_two_qubit_product():
@@ -71,14 +68,15 @@ def test_gme_and_fully_product_are_exclusive():
     rng = random.Random(3)
     for _ in range(40):
         p = profile_of(rand_state(rng, max_n=5))
-        assert not (is_gme(p) and is_fully_product(p))
+        v = verdict(p)
+        assert not (v.gme and v.fully_product)
 
 
 def test_random_product_states_detected():
     rng = random.Random(13)
     for _ in range(40):
         p = profile_of(rand_product_state(rng))
-        assert is_fully_product(p)
+        assert verdict(p).fully_product
         assert [r.value for _, r in p.levels[0]] == [1] * p.dims.n
 
 
@@ -100,18 +98,18 @@ def test_verdict_invariant_under_local_operations():
     rng = random.Random(47)
     for _ in range(40):
         state = rand_state(rng, max_n=5, max_terms=8)
-        before = multirank_profile(state, RankPolicy.exact())
+        before = multirank_profile(state, RankPolicy("exact"))
         site = rng.randint(1, state.dims.n)
         matrix = rand_invertible_matrix(rng, state.dims.dims[site - 1])
         after_state = apply_local_operation(state, site, matrix)
-        after = multirank_profile(after_state, RankPolicy.exact())
+        after = multirank_profile(after_state, RankPolicy("exact"))
         assert before.rank_lists() == after.rank_lists()
         assert verdict(before) == verdict(after)
 
 
 @pytest.mark.parametrize(
     "coeff,policy,seed",
-    [(7, RankPolicy.modular(7), 1729), ("a", RankPolicy.generic(1, 3), 0)],
+    [(7, RankPolicy("modular", 7), 1729), ("a", RankPolicy("generic", 3, 1), 0)],
     ids=["mod-7", "generic-3"],
 )
 def test_verdict_refuses_a_profile_that_vanishes_mod_its_prime(coeff, policy, seed):
@@ -124,11 +122,11 @@ def test_verdict_refuses_a_profile_that_vanishes_mod_its_prime(coeff, policy, se
 
 def test_verdict_reads_its_product_cuts():
     # a rank of 0 mod 3 makes every rank 0, and the verdict refuses; otherwise
-    # gme iff every rank exceeds 1, and the helpers return the verdict's fields
+    # gme iff every rank exceeds 1, and fully product iff every level-1 rank is 1
     rng = random.Random(59)
     vanished = 0
     for _ in range(60):
-        p = multirank_profile(rand_state(rng, max_n=5), RankPolicy.modular(3))
+        p = multirank_profile(rand_state(rng, max_n=5), RankPolicy("modular", 3))
         values = [r.value for level in p.levels for _, r in level]
         if 0 in values:
             vanished += 1
@@ -137,8 +135,8 @@ def test_verdict_reads_its_product_cuts():
                 verdict(p)
             continue
         v = verdict(p)
-        assert v.gme == all(value > 1 for value in values) == is_gme(p)
-        assert v.fully_product == is_fully_product(p)
+        assert v.gme == all(value > 1 for value in values)
+        assert v.fully_product == all(r.value == 1 for _, r in p.levels[0])
         assert v.product_cuts == tuple(
             bp for level in p.levels for bp, r in level if r.value == 1
         )

@@ -7,7 +7,8 @@ import random
 import re
 import subprocess
 import sys
-from math import prod
+import time
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -566,11 +567,12 @@ def test_oversized_dump_is_refused_before_any_cut_is_enumerated(
     tmp_path, capsys, monkeypatch, flags, entries
 ):
     import multirank.cli as cli
+    import multirank.profile as profile_module
 
     def no_enumeration(*args, **kwargs):
         raise AssertionError("cuts enumerated")
 
-    monkeypatch.setattr(cli, "all_levels", no_enumeration)
+    monkeypatch.setattr(profile_module, "all_levels", no_enumeration)
     monkeypatch.setattr(cli, "enumerate_bipartitions", no_enumeration)
     path = tmp_path / "twenty.state"
     path.write_text("dims " + " ".join(["2"] * 20) + "\n1 |" + "0" * 20 + ">\n")
@@ -578,6 +580,49 @@ def test_oversized_dump_is_refused_before_any_cut_is_enumerated(
     assert capsys.readouterr().err == (
         f"multirank: --dump-matrices would print {entries} entries, "
         f"more than the limit of {2**24}\n"
+    )
+
+
+def _qubits(tmp_path, n, kets):
+    path = tmp_path / f"q{n}.state"
+    path.write_text("dims " + " ".join(["2"] * n) + "\n" + "".join(f"1 |{k}>\n" for k in kets))
+    return path
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_run_above_the_cut_limit_exits_2_at_once(tmp_path, capsys, monkeypatch, fmt):
+    # 64 parties have 2**63 - 1 + C(64, 32) / 2 cuts; building them would
+    # exhaust memory, so the run must refuse on their count alone
+    import multirank.cli as cli
+    import multirank.profile as profile_module
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("cuts enumerated")
+
+    monkeypatch.setattr(profile_module, "all_levels", no_enumeration)
+    path = _qubits(tmp_path, 64, ["0" * 64, "1" * 64])
+    start = time.perf_counter()
+    assert cli.main([str(path), "--format", fmt]) == 2
+    assert time.perf_counter() - start < 1
+    cuts = sum(comb(64, k) for k in range(1, 33))
+    assert capsys.readouterr() == (
+        "",
+        f"multirank: the profile has {cuts} cuts, more than the limit of {2**20}\n",
+    )
+
+
+def test_one_level_of_a_state_past_the_cut_limit_still_runs(tmp_path):
+    result = run_cli(str(_qubits(tmp_path, 64, ["0" * 64, "1" * 64])), "--levels", "1")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "{" + ", ".join(["2"] * 64) + "}\n"
+
+
+def test_twenty_two_parties_are_past_the_cut_limit(tmp_path):
+    result = run_cli(str(_qubits(tmp_path, 22, ["0" * 22])))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        f"multirank: the profile has {2**21 - 1 + comb(22, 11) // 2} cuts, "
+        f"more than the limit of {2**20}\n"
     )
 
 

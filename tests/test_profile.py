@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,6 @@ from multirank import (
     multirank_profile,
     parse_state,
     parse_policy,
-    profile_level,
     rank_dispatch,
 )
 from helpers import (
@@ -80,8 +80,8 @@ def test_qudit_ghz_profile():
 def test_profile_level_reference_values():
     from helpers import cluster4, w3
 
-    assert [r.value for _, r in profile_level(w3(), 1)] == [2, 2, 2]
-    assert [r.value for _, r in profile_level(cluster4(), 2)] == [2, 4, 4, 4, 4, 2]
+    assert multirank_profile(w3(), level=1).rank_lists() == [[2, 2, 2]]
+    assert multirank_profile(cluster4(), level=2).rank_lists() == [[2, 4, 4, 4, 4, 2]]
 
 
 def test_profile_level_matches_full_profile():
@@ -90,17 +90,29 @@ def test_profile_level_matches_full_profile():
         state = rand_state(rng, max_n=5)
         full = multirank_profile(state)
         for level in range(1, state.dims.n // 2 + 1):
-            slice_ = profile_level(state, level)
+            (slice_,) = multirank_profile(state, level=level).levels
             assert [r.value for _, r in slice_] == full.rank_lists()[level - 1]
             assert [bp for bp, _ in slice_] == [bp for bp, _ in full.levels[level - 1]]
 
 
 def test_level_out_of_range():
     state = build_state((2, 2, 2), [((0, 0, 0), 1)])
-    with pytest.raises(ValueError):
-        profile_level(state, 0)
-    with pytest.raises(ValueError):
-        profile_level(state, 2)
+    for level in (-1, 0, 2):
+        with pytest.raises(ValueError, match="level must be between 1 and 1"):
+            multirank_profile(state, level=level)
+
+
+def test_cut_limit_refuses_before_any_cut_is_built(monkeypatch):
+    built = []
+    monkeypatch.setattr(profile_module, "all_levels", lambda dims: built.append(dims.n) or [])
+    for n in (22, 64):
+        with pytest.raises(MultirankError, match="more than the limit of 1048576") as info:
+            multirank_profile(build_state((2,) * n, [((0,) * n, 1)]))
+        assert type(info.value) is MultirankError and info.value.exit_code == 2
+    # 21 parties have 2**20 - 1 cuts: the guard lets them through to the enumeration
+    multirank_profile(build_state((2,) * 21, [((0,) * 21, 1)]))
+    assert built == [21]
+    assert profile_module.CUT_LIMIT == 2**20 == sum(comb(21, k) for k in range(1, 11)) + 1
 
 
 def test_complement_symmetry_at_half_level():
@@ -110,7 +122,7 @@ def test_complement_symmetry_at_half_level():
         if state.dims.n % 2:
             continue
         half = state.dims.n // 2
-        entries = profile_level(state, half, RankPolicy.exact())
+        (entries,) = multirank_profile(state, RankPolicy("exact"), level=half).levels
         by_parties = {bp.parties: r.value for bp, r in entries}
         for bp, r in entries:
             assert by_parties[bp.complement] == r.value
@@ -133,7 +145,7 @@ def test_split_bounds_hold_on_every_profile():
     states += [rand_state(rng, max_n=6) for _ in range(40)]
     states += [rand_cut_product_state(rng, max_n=6)[0] for _ in range(40)]
     for state in states:
-        policy = RankPolicy.generic() if state.has_parameters else RankPolicy.fast()
+        policy = RankPolicy("generic") if state.table.names else RankPolicy("fast")
         assert_split_bounds(multirank_profile(state, policy))
 
 
@@ -168,8 +180,8 @@ def test_policy_equivalence_exact_vs_fast():
     states = [make() for make, _ in REFERENCE_PROFILES.values()]
     states += [rand_state(rng, max_n=5) for _ in range(25)]
     for state in states:
-        fast = multirank_profile(state, RankPolicy.fast())
-        exact = multirank_profile(state, RankPolicy.exact())
+        fast = multirank_profile(state, RankPolicy("fast"))
+        exact = multirank_profile(state, RankPolicy("exact"))
         assert fast.rank_lists() == exact.rank_lists()
 
 
@@ -186,8 +198,8 @@ def test_rank_equals_transposed_rank_for_all_bipartitions():
 def test_deterministic_across_runs():
     rng = random.Random(67)
     state = rand_state(rng, max_n=5)
-    first = multirank_profile(state, RankPolicy.fast(), seed=5)
-    second = multirank_profile(state, RankPolicy.fast(), seed=5)
+    first = multirank_profile(state, RankPolicy("fast"), seed=5)
+    second = multirank_profile(state, RankPolicy("fast"), seed=5)
     assert first.rank_lists() == second.rank_lists()
     primes_a = [r.prime for lvl in first.levels for _, r in lvl]
     primes_b = [r.prime for lvl in second.levels for _, r in lvl]
@@ -203,10 +215,10 @@ def test_generic_twins_agree_at_half_level():
         )
     ]
     states += [rand_parametric_qubits(rng, n) for n in (4, 6) for _ in range(15)]
-    policy = RankPolicy.generic(trials=1, prime=3)
+    policy = RankPolicy("generic", trials=1, prime=3)
     for state in states:
         for seed in range(5):
-            entries = profile_level(state, state.dims.n // 2, policy, seed)
+            (entries,) = multirank_profile(state, policy, seed, state.dims.n // 2).levels
             by_parties = {bp.parties: r.value for bp, r in entries}
             for bp, r in entries:
                 assert by_parties[bp.complement] == r.value, (state, seed, bp)
@@ -214,7 +226,7 @@ def test_generic_twins_agree_at_half_level():
 
 @pytest.mark.parametrize(
     "policy",
-    [RankPolicy.generic(), RankPolicy.generic(trials=1, prime=3)],
+    [RankPolicy("generic"), RankPolicy("generic", trials=1, prime=3)],
     ids=["auto-prime", "one-trial-mod-3"],
 )
 def test_generic_entry_depends_on_matrix_and_seed_alone(policy):
@@ -224,7 +236,7 @@ def test_generic_entry_depends_on_matrix_and_seed_alone(policy):
         for seed in (0, 1729):
             profile = multirank_profile(state, policy, seed)
             for level, entries in enumerate(profile.levels, start=1):
-                assert profile_level(state, level, policy, seed) == entries
+                assert multirank_profile(state, policy, seed, level).levels == (entries,)
                 for bp, result in entries:
                     assert result == rank_dispatch(flatten(state, bp), policy, seed)
 
@@ -295,7 +307,7 @@ def test_generic_values_do_not_depend_on_the_term_rank_stop(monkeypatch, seed):
     rng = random.Random(seed)
     states = [rand_parametric_qubits(rng, n) for n in (3, 4, 5, 6)]
     states += [rand_fraction_state(rng, ("a", "b", "c")) for _ in range(4)]
-    policy = RankPolicy.generic(trials=4)
+    policy = RankPolicy("generic", trials=4)
     kernel = rank_module.rank_mod_gaussian
     calls = []
 

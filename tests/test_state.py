@@ -99,7 +99,7 @@ class TestParseState:
     def test_parametric_amplitude(self):
         state = parse_state("dims 2 2 2 ; +a |000> ; +1 |111>")
         assert state.terms[(0, 0, 0)] == Parameter("a")
-        assert state.has_parameters
+        assert state.table.names == ["a"]
 
     def test_comments_and_blank_lines(self):
         state = parse_state("# header\n\ndims 2 2\n+1 |01>  # trailing\n")
