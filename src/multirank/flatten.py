@@ -8,12 +8,12 @@ is chosen so the produced matrices, not just their ranks, are stable and
 reproducible.  The matrix is assembled straight from the sparse terms;
 the dense tensor is never materialized.
 
-The terms come from the state's :class:`~multirank.state.TermTable`,
-built once and shared by every flattening of the state: one matmul of
-the cut's place values with its ket array gives every (row, col), so
-``entries`` keeps the state's term order and the matrix hands the same
-table on to the rank layer.  When d_1 * ... * d_n reaches 2**63 the kets
-are Python ints (numpy's object dtype), since an int64 matmul would wrap.
+The kets come from the state, built once and shared by every flattening
+of it: one matmul of the cut's place values with the ket array gives
+every (row, col), so ``entries`` keeps the state's term order and the
+matrix hands the state's :class:`~multirank.state.TermTable` on to the
+rank layer.  When d_1 * ... * d_n reaches 2**63 the kets are Python ints
+(numpy's object dtype), since an int64 matmul would wrap.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .state import StateTensor, TermTable
 class FlattenedMatrix:
     """Sparse ``rows x cols`` matrix holding the surviving amplitudes.
 
-    ``table`` holds the amplitudes in the order of ``entries``: the
-    state's table for a flattening, else one read off ``entries``.
+    ``table`` reads the amplitudes in the order of ``entries``: the
+    state's table for a flattening, else one built from ``entries``.
     """
 
     rows: int
@@ -43,7 +43,7 @@ class FlattenedMatrix:
 
     def __post_init__(self):
         if self.table is None:
-            object.__setattr__(self, "table", TermTable(tuple(self.entries.values())))
+            object.__setattr__(self, "table", TermTable(self.entries.values()))
 
 
 def flatten(state: StateTensor, bipartition: Bipartition) -> FlattenedMatrix:
@@ -61,7 +61,7 @@ def flatten(state: StateTensor, bipartition: Bipartition) -> FlattenedMatrix:
             f"bipartition {bipartition.parties}/{bipartition.complement} "
             f"does not partition parties 1..{dims.n}"
         )
-    table, d = state.table, dims.dims
+    kets, d = state.kets, dims.dims
     row, col = [0] * dims.n, [0] * dims.n
     rows = cols = 1
     for j in reversed(bipartition.parties):
@@ -70,8 +70,8 @@ def flatten(state: StateTensor, bipartition: Bipartition) -> FlattenedMatrix:
     for j in reversed(bipartition.complement):
         col[j - 1] = cols
         cols *= d[j - 1]
-    r, c = np.array((row, col), dtype=table.kets.dtype).dot(table.kets.T).tolist()
-    return FlattenedMatrix(rows, cols, dict(zip(zip(r, c), table.amplitudes)), table)
+    r, c = np.array((row, col), dtype=kets.dtype).dot(kets.T).tolist()
+    return FlattenedMatrix(rows, cols, dict(zip(zip(r, c), state.terms.values())), state.table)
 
 
 def dense_string_rows(matrix: FlattenedMatrix) -> list[list[str]]:

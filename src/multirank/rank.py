@@ -25,14 +25,14 @@ Three routes, one contract:
 Every route starts from :func:`_compress`, which discards all-zero rows
 and columns, so the working matrix is never larger than the number of
 nonzero entries on a side, and numbers the rest in first-seen order.
-What does not depend on the cut comes from the matrix's
-:class:`~multirank.state.TermTable`, which a flattening shares with
-every other flattening of its state: the denominators and parameter
-names, so that a pass refuses a matrix before it fills an array, and the
-residues.  ``TermTable.residues`` is the one place where amplitudes
-become numbers, read as num * den^-1 mod p once per state and prime; a
-modular pass (:func:`_pass`) fills its arrays from them through one
-index array.  That is the row-cleared matrix with each row scaled by
+Every number comes from the matrix's :class:`~multirank.state.TermTable`,
+which a flattening shares with every other flattening of its state and
+which read each amplitude once as integers, a = (x + iy)/d: the
+denominators and parameter names, so that a pass refuses a matrix
+before it fills an array, the residues x * d^-1 and y * d^-1 mod p, from
+which a modular pass (:func:`_pass`) fills its arrays through one index
+array, and the integers that the Hadamard bound (:func:`_norms`) reads.
+The residues are the row-cleared matrix with each row scaled by
 s^-1 mod p, s the lcm of the row's denominators, which p does not
 divide.  So every modular rank, pass count, certificate and generic
 draw is the cleared matrix's.  The row lists that the term rank and the
@@ -103,10 +103,11 @@ class RankResult:
 class RankPolicy:
     """Which rank route to use; see :func:`rank_dispatch`.
 
-    A policy checks itself when built, so every policy can run: the kind
-    is known, a modular policy has a prime, a prime is one that GF(p)[i]
-    needs (see :func:`_check_prime`), and a trial count is at least 1
-    (``generic`` defaults to :data:`DEFAULT_GENERIC_TRIALS`).
+    A policy checks itself when built, so every policy can run and its
+    label parses back to it: the kind is known, a modular policy has a
+    prime and exact and fast have none, a prime is one that GF(p)[i]
+    needs (see :func:`_check_prime`), and only ``generic`` has a trial
+    count, at least 1 (by default :data:`DEFAULT_GENERIC_TRIALS`).
     """
 
     kind: str  # "exact" | "fast" | "modular" | "generic"
@@ -118,6 +119,10 @@ class RankPolicy:
             raise ValueError(f"unknown rank policy kind {self.kind!r}")
         if self.kind == "modular" and self.prime is None:
             raise ValueError("modular policy needs an explicit prime")
+        if self.kind in ("exact", "fast") and self.prime is not None:
+            raise ValueError(f"{self.kind} policy takes no prime")
+        if self.kind != "generic" and self.trials is not None:
+            raise ValueError(f"{self.kind} policy takes no trial count")
         if self.prime is not None:
             _check_prime(self.prime)
         if self.kind == "generic" and self.trials is None:
@@ -166,7 +171,7 @@ class _Compressed(NamedTuple):
 
     Entry k of ``matrix.entries`` lies at row r and column c of the
     compressed matrix, with ``at[k] = r * cols + c``: one index array,
-    through which a pass fills.  ``table`` holds the entries' amplitudes
+    through which a pass fills.  ``table`` reads the entries' amplitudes
     in the same order.
     """
 
@@ -194,12 +199,22 @@ def _compress(matrix: FlattenedMatrix) -> _Compressed:
 
 
 def _rows(compressed: _Compressed) -> list[list]:
-    """Per nonzero row, in first-seen order, ``[(col, amplitude), ...]``."""
+    """Per nonzero row, in first-seen order, ``[(col, term position), ...]``."""
     rows: list[list] = [[] for _ in range(compressed.rows)]
-    for k, a in zip(compressed.at.tolist(), compressed.table.amplitudes):
-        r, c = divmod(k, compressed.cols)
-        rows[r].append((c, a))
+    for k, at in enumerate(compressed.at.tolist()):
+        r, c = divmod(at, compressed.cols)
+        rows[r].append((c, k))
     return rows
+
+
+def _norms(rows, table: TermTable) -> list[int]:
+    """Squared norms of the rows, each cleared by its own d_k's lcm s, largest first."""
+    x, y, d = table.x, table.y, table.d
+    norms = []
+    for row in rows:
+        s = lcm(*(d[k] for _, k in row))
+        norms.append(sum((s // d[k]) ** 2 * (x[k] ** 2 + y[k] ** 2) for _, k in row))
+    return sorted(norms, reverse=True)
 
 
 def _pass(compressed: _Compressed, p: int, assignment=None) -> int:
@@ -218,8 +233,8 @@ def _pass(compressed: _Compressed, p: int, assignment=None) -> int:
     re = np.zeros(rows * cols, dtype=np.int64)
     im = np.zeros(rows * cols, dtype=np.int64)
     re[at], im[at] = residues
-    for k in table.params:
-        re[at[k]], im[at[k]] = assignment[table.amplitudes[k].name]
+    for k, name in table.params:
+        re[at[k]], im[at[k]] = assignment[name]
     return int(rank_mod_gaussian(re.reshape(rows, cols), im.reshape(rows, cols), p))
 
 
@@ -350,7 +365,7 @@ def exact_rank(
         return RankResult(
             0, mode="exact", certainty="exact", certificate="structural", primes=0
         )
-    value, product, norms = 0, 1, None
+    value, product = 0, 1
     ceiling, certificate = min(compressed.rows, compressed.cols), "structural"
     for passes, p in enumerate(_admissible_primes(compressed.table.dens), start=1):
         value = max(value, _pass(compressed, p))
@@ -364,13 +379,7 @@ def exact_rank(
                 ceiling, certificate = bound, "product"
             if value == ceiling:
                 break
-        if norms is None:
-            norms = []
-            for row in rows:
-                parts = [q for _, a in row for q in (a.re, a.im)]
-                s = lcm(*(q.denominator for q in parts))
-                norms.append(sum((q.numerator * (s // q.denominator)) ** 2 for q in parts))
-            norms.sort(reverse=True)
+            norms = _norms(rows, compressed.table)
         product *= p
         if product * product > prod(norms[: value + 1]):
             break

@@ -29,12 +29,12 @@ Duplicate kets merge by exact addition; terms that cancel are dropped;
 an empty result is rejected (the zero state has no meaningful profile).
 A parsed document must give at least one term.
 
-Every flattening of a state holds every term, so a state's
-:attr:`StateTensor.table` (a :class:`TermTable`) holds what no cut
-changes: the kets as one array, the amplitudes in term order, their
-denominators and parameter names, and their residues mod each prime a
-rank pass uses.  It is built the first time a flattening needs it and
-lives and dies with its state.
+Every flattening of a state holds every term, so what no cut changes
+is kept on the state, built the first time a flattening needs it:
+:attr:`StateTensor.kets`, the kets as one array, and
+:attr:`StateTensor.table`, a :class:`TermTable` that reads each
+amplitude once into integers, keeps its parameter names, and gives its
+residues mod each prime a rank pass uses.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import prod
-from typing import Iterable, Optional, Sequence
+from math import lcm, prod
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -92,50 +92,50 @@ class StateTensor:
     terms: dict[MultiIndex, Amplitude] = field(repr=False)
 
     @cached_property
-    def table(self) -> "TermTable":
-        """The terms as one :class:`TermTable`, built on first use.
-
-        The kets are int64 unless d_1 * ... * d_n reaches 2**63: a
-        flattening's row or column index can then pass 2**63, where an
-        int64 matmul wraps silently, so they are Python ints instead.
-        """
+    def kets(self) -> np.ndarray:
+        """The kets as one terms x n array, built on first use: Python ints
+        once d_1 * ... * d_n reaches 2**63, past which an int64 matmul wraps."""
         big = prod(self.dims.dims) >= 2**63
-        kets = np.array(list(self.terms), dtype=object if big else np.int64)
-        return TermTable(tuple(self.terms.values()), kets)
+        return np.array(list(self.terms), dtype=object if big else np.int64)
+
+    @cached_property
+    def table(self) -> "TermTable":
+        """The amplitudes as one :class:`TermTable`, built on first use."""
+        return TermTable(self.terms.values())
 
 
 class TermTable:
-    """The terms of a state in one fixed order, read once for every cut.
+    """Amplitudes in one fixed order, each read once into integers.
 
-    Every flattening of a state holds every term, so what a cut needs of
-    an amplitude does not depend on the cut.  ``kets`` is the terms x n
-    array of ket digits (None for a table read off a matrix's entries),
-    ``amplitudes`` the amplitudes in the same order, ``dens`` the set of
-    the Gaussian amplitudes' denominators, ``params`` the positions of
-    the parameters and ``names`` their sorted names.  :meth:`residues`
-    reads the amplitudes mod p once per prime.
+    Amplitude k is (x[k] + i y[k]) / d[k], d[k] the lcm of its two
+    denominators, and a parameter is (0, 0, 1), kept in ``params`` as a
+    (position, name) pair; ``names`` are their sorted names.  A prime
+    divides one of ``dens``, the set of the d[k], exactly when it divides
+    a denominator.  No amplitude is kept: :meth:`residues` reads the
+    columns mod p once per prime.
     """
 
-    __slots__ = ("kets", "amplitudes", "dens", "params", "names", "_residues")
+    __slots__ = ("x", "y", "d", "dens", "params", "names", "_residues")
 
-    def __init__(self, amplitudes: tuple[Amplitude, ...], kets: Optional[np.ndarray] = None):
-        self.kets = kets
-        self.amplitudes = amplitudes
-        self.params: list[int] = []
-        self.dens: set[int] = set()
-        names = set()
+    def __init__(self, amplitudes: Iterable[Amplitude]):
+        self.x, self.y, self.d, self.params = [], [], [], []
         for k, a in enumerate(amplitudes):
             if isinstance(a, Parameter):
-                self.params.append(k)
-                names.add(a.name)
+                self.params.append((k, a.name))
+                x, y, d = 0, 0, 1
             else:
-                self.dens.add(a.re.denominator)
-                self.dens.add(a.im.denominator)
-        self.names = sorted(names)
+                d = lcm(a.re.denominator, a.im.denominator)
+                x = a.re.numerator * (d // a.re.denominator)
+                y = a.im.numerator * (d // a.im.denominator)
+            self.x.append(x)
+            self.y.append(y)
+            self.d.append(d)
+        self.dens = set(self.d)
+        self.names = sorted({name for _, name in self.params})
         self._residues: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def residues(self, p: int) -> tuple[np.ndarray, np.ndarray]:
-        """(re, im) int64 arrays: each amplitude as num * den^-1 mod p.
+        """(re, im) int64 arrays: x * d^-1 and y * d^-1 mod p.
 
         A parameter reads as 0.  A p that divides one of ``dens`` raises
         :class:`PrimeClashError`.
@@ -144,15 +144,11 @@ class TermTable:
             if any(d % p == 0 for d in self.dens):
                 raise PrimeClashError(f"prime {p} divides a denominator")
             inverse = {d: pow(d, -1, p) for d in self.dens}
-            re, im = [], []
-            for a in self.amplitudes:
-                if isinstance(a, Parameter):
-                    re.append(0)
-                    im.append(0)
-                else:
-                    re.append(a.re.numerator * inverse[a.re.denominator] % p)
-                    im.append(a.im.numerator * inverse[a.im.denominator] % p)
-            self._residues[p] = np.array(re, dtype=np.int64), np.array(im, dtype=np.int64)
+            scale = [inverse[d] for d in self.d]
+            self._residues[p] = (
+                np.array([x * s % p for x, s in zip(self.x, scale)], dtype=np.int64),
+                np.array([y * s % p for y, s in zip(self.y, scale)], dtype=np.int64),
+            )
         return self._residues[p]
 
 

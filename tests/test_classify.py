@@ -9,6 +9,7 @@ from multirank import (
     ZeroStateError,
     build_state,
     multirank_profile,
+    parse_state,
     verdict,
 )
 from helpers import (
@@ -141,3 +142,28 @@ def test_verdict_reads_its_product_cuts():
             bp for level in p.levels for bp, r in level if r.value == 1
         )
     assert 0 < vanished < 60
+
+
+@pytest.mark.parametrize(
+    "text,level,cut",
+    [
+        ("dims 2 2 2 2 ; 1 |0001> ; 1 |0010> ; 1 |0100>", 2, (1,)),
+        ("dims 2 2 2 2 ; 1 |0000> ; 1 |0011> ; 1 |1100> ; 1 |1111>", 1, (1, 2)),
+    ],
+    ids=["zero-w3-level-2", "bell-bell-level-1"],
+)
+def test_a_verdict_needs_every_level(text, level, cut):
+    # the level alone has no rank-1 cut, while the full run has one elsewhere
+    state = parse_state(text)
+    one = multirank_profile(state, level=level)
+    assert all(r.value > 1 for _, r in one.levels[0])
+    with pytest.raises(ValueError, match="every level"):
+        verdict(one)
+    full = verdict(multirank_profile(state))
+    assert not full.gme and cut in [bp.parties for bp in full.product_cuts]
+
+
+@pytest.mark.parametrize("text", ["dims 2 2 ; 1 |00> ; 1 |11>", "dims 2 2 2 ; 1 |000> ; 1 |011>"])
+def test_level_one_of_two_or_three_parties_is_the_full_run(text):
+    state = parse_state(text)
+    assert verdict(multirank_profile(state, level=1)) == verdict(multirank_profile(state))

@@ -280,6 +280,26 @@ class TestCertificate:
         assert (result.value, result.certificate, result.primes) == (1, "hadamard", 1)
 
 
+    def test_norms_are_the_squared_norms_of_the_cleared_rows(self):
+        # the Hadamard bound reads the table's integers: entry (x + iy)/d of
+        # a row clears to (s/d)(x + iy), s the lcm of that row's d alone
+        rng = random.Random(67)
+        mixed = 0
+        for _ in range(200):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+            matrix = matrix_from_dense(
+                [[rand_gauss_fraction(rng) if rng.random() < 0.7 else 0 for _ in range(cols)]
+                 for _ in range(rows)]
+            )
+            compressed = rank_module._compress(matrix)
+            cleared = _cleared_integer_rows(matrix.rows, cols, matrix.entries)
+            squares = (sum(x * x + y * y for x, y in row) for row in cleared)
+            expected = sorted((n for n in squares if n), reverse=True)
+            assert rank_module._norms(rank_module._rows(compressed), compressed.table) == expected
+            mixed += len(compressed.table.dens) > 1
+        assert mixed >= 100
+
+
 class TestTermRank:
     """The structural bound: a maximum matching on the nonzero pattern."""
 
@@ -589,6 +609,19 @@ class TestPolicyParsing:
     def test_generic_without_trials_takes_the_default(self):
         # the label a report prints must parse back to the same policy
         assert parse_policy(RankPolicy("generic").label()) == RankPolicy("generic")
+
+    @pytest.mark.parametrize("trials", [None, 3])
+    @pytest.mark.parametrize("prime", [None, 7])
+    @pytest.mark.parametrize("kind", ["exact", "fast", "modular", "generic"])
+    def test_a_policy_holds_only_what_its_kind_reads(self, kind, prime, trials):
+        # exact and fast take no prime, modular needs one, and only generic
+        # takes a trial count; every policy that is built parses back
+        if kind == "generic" or (trials is None and (prime is None) == (kind != "modular")):
+            policy = RankPolicy(kind, prime, trials)
+            assert parse_policy(policy.label()) == policy
+        else:
+            with pytest.raises(ValueError):
+                RankPolicy(kind, prime, trials)
 
     @pytest.mark.parametrize("text", ["", "mod:", "mod:x", "generic:a,b", "best"])
     def test_invalid(self, text):

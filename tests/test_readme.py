@@ -1,4 +1,8 @@
-"""README's Library example runs as written.
+"""README's CLI and Library examples run as written.
+
+Each ``multirank ...`` command in the ```sh block under "CLI" runs as
+``python -m multirank ...`` from the repository root, and its stdout
+must be the ``# `` lines under it.
 
 The ```python block is executed one statement at a time.  A statement
 that is a bare expression with a trailing ``# <literal>`` comment is an
@@ -8,11 +12,44 @@ example of a value: it must evaluate to that literal.  Any other comment
 
 import ast
 import io
+import os
 import re
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+REPO = Path(__file__).resolve().parent.parent
+README = REPO / "README.md"
+
+
+def _cli_examples() -> list[tuple[list[str], str]]:
+    """(arguments, stdout) of each command in the CLI section's ```sh block."""
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = re.search(r"^```sh\n(.*?)^```$", section, re.M | re.S)[1]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("multirank "):
+            examples.append((line.split()[1:], ""))
+        elif line.startswith("# "):
+            args, out = examples[-1]
+            examples[-1] = args, out + line[2:] + "\n"
+    return examples
+
+
+def test_cli_block_prints_what_it_shows():
+    path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    examples = _cli_examples()
+    for args, expected in examples:
+        done = subprocess.run(
+            [sys.executable, "-m", "multirank", *args],
+            capture_output=True,
+            text=True,
+            cwd=REPO,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected, ""), args
+    assert len(examples) >= 2
 
 
 def _python_block() -> str:

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from multirank import (
     GaussianRational,
     InvalidStateError,
     Parameter,
+    PrimeClashError,
     StateSyntaxError,
     ZeroStateError,
     build_state,
@@ -22,6 +24,7 @@ from multirank import (
     parse_coefficient,
     parse_state,
 )
+from multirank.state import TermTable
 from helpers import (
     apply_local_operation,
     gauss,
@@ -379,6 +382,45 @@ class TestBuildState:
                 continue
             b = build_state(dims, shuffled)
             assert a.terms == b.terms
+
+
+class TestTermTable:
+    def test_each_amplitude_is_read_once_into_integers(self):
+        # a = (x + iy)/d with d the lcm of its denominators; a parameter is
+        # (0, 0, 1), and residues(p) is each part's num * den^-1 mod p
+        rng = random.Random(29)
+
+        def part():
+            return Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+
+        zero, compared, clashed = Fraction(0), 0, 0
+        for _ in range(150):
+            amplitudes = [
+                Parameter(rng.choice("ab")) if rng.random() < 0.2 else GaussianRational(part(), part())
+                for _ in range(rng.randint(1, 8))
+            ]
+            table = TermTable(amplitudes)
+            parts = [(zero, zero) if isinstance(a, Parameter) else (a.re, a.im) for a in amplitudes]
+            assert table.params == [
+                (k, a.name) for k, a in enumerate(amplitudes) if isinstance(a, Parameter)
+            ]
+            assert table.names == sorted({name for _, name in table.params})
+            assert table.dens == set(table.d)
+            for a, (re, im), x, y, d in zip(amplitudes, parts, table.x, table.y, table.d):
+                assert (Fraction(x, d), Fraction(y, d)) == (re, im)
+                assert d == (1 if isinstance(a, Parameter) else lcm(re.denominator, im.denominator))
+            for p in (7, 11, 2147483647):
+                if any(q.denominator % p == 0 for pair in parts for q in pair):
+                    with pytest.raises(PrimeClashError):
+                        table.residues(p)
+                    clashed += 1
+                    continue
+                re, im = table.residues(p)
+                for got, k in ((re, 0), (im, 1)):
+                    want = [q[k].numerator * pow(q[k].denominator, -1, p) % p for q in parts]
+                    assert got.tolist() == want
+                compared += 1
+        assert compared >= 300 and clashed >= 50
 
 
 class TestAmplitudeArithmetic:
